@@ -22,7 +22,6 @@ from .errors import (
 )
 from .graph import (
     BipartiteGraph,
-    SubgraphMaps,
     VertexRef,
     build_graph,
     connected_components,
@@ -70,12 +69,9 @@ from .reductions import (
     verify_tree_convexity,
 )
 from .solver import (
-    FrontierIndices,
     SolveResult,
     TraceStep,
     counterexample_graph,
-    frontier_indices,
-    reduce_to_suffix,
     solve_baseline,
     solve_exact,
 )

@@ -10,10 +10,11 @@ itself a chain graph it is emitted whole as the final chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ContractError
-from .graph import BipartiteGraph, VertexRef, connected_components, xref, yref
-from .ordering import LexConvexOrdering, ensure_valid_lex_ordering
+from .graph import BipartiteGraph, VertexRef, xref, yref
+from .ordering import Interval, LexConvexOrdering, ensure_valid_lex_ordering
 
 __all__ = [
     "ChainDecomposition",
@@ -55,7 +56,49 @@ def _clip(left: int, start: int) -> int:
     return left if left > start else start
 
 
-def _nested(entries: list[tuple[int, int, int]], start: int) -> bool:
+def _coverage_runs(
+    entries: Sequence[Interval], start: int
+) -> list[tuple[list[Interval], int, int]]:
+    """Group clipped intervals into maximal overlap-connected runs.
+
+    Entries must arrive sorted by (clipped left, right, index).  Two intervals
+    land in the same run iff a chain of pairwise-overlapping intervals joins
+    them, which for convex graphs is exactly connectivity; Y-positions not
+    covered by any run are isolated.
+    """
+    runs: list[tuple[list[Interval], int, int]] = []
+    members: list[Interval] = []
+    lo = hi = 0
+    for e in entries:
+        cl = _clip(e[0], start)
+        if members and cl <= hi:
+            members.append(e)
+            if e[1] > hi:
+                hi = e[1]
+        else:
+            if members:
+                runs.append((members, lo, hi))
+            members, lo, hi = [e], cl, e[1]
+    if members:
+        runs.append((members, lo, hi))
+    return runs
+
+
+def _is_connected(ordering: LexConvexOrdering) -> bool:
+    """Connectivity read off the intervals: one run covering every Y
+    position and no isolated X vertex, or at most one vertex in all."""
+    g = ordering.graph
+    if g.n <= 1:
+        return True
+    runs = _coverage_runs(ordering.intervals, 1)
+    return (
+        len(ordering.intervals) == g.n1
+        and len(runs) == 1
+        and runs[0][1:] == (1, g.n2)
+    )
+
+
+def _nested(entries: list[Interval], start: int) -> bool:
     """True when the clipped intervals form a chain under containment."""
     seq = sorted(entries, key=lambda e: (_clip(e[0], start), -e[1]))
     return all(seq[k][1] >= seq[k + 1][1] for k in range(len(seq) - 1))
@@ -69,21 +112,13 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
     truncating Y can break the lexicographic condition of the inherited one.
     """
     ensure_valid_lex_ordering(g, ordering)
-    if len(connected_components(g)) > 1:
+    if not _is_connected(ordering):
         raise ContractError("decompose requires a connected graph; split components first")
-
-    ypos = {j: p for p, j in enumerate(ordering.yperm, start=1)}
-    entries: list[tuple[int, int, int]] = []  # (left, right, x-index), positions
-    for i in range(1, g.n1 + 1):
-        nb = g.neighbors_x(i)
-        if nb:
-            ps = [ypos[j] for j in nb]
-            entries.append((min(ps), max(ps), i))
 
     chains: list[tuple[frozenset[int], frozenset[int]]] = []
     strands: list[frozenset[int]] = []
     tail: set[VertexRef] = set()
-    if not entries:
+    if not ordering.intervals:
         # No edges: a connected graph this small is a single vertex.
         tail.update(xref(i) for i in range(1, g.n1 + 1))
         tail.update(yref(j) for j in range(1, g.n2 + 1))
@@ -93,7 +128,7 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
         return ordering.yperm[position - 1]
 
     start = 1
-    remaining = entries
+    remaining = list(ordering.intervals)
     while remaining:
         remaining.sort(key=lambda e: (_clip(e[0], start), e[1], e[2]))
         lowest = _clip(remaining[0][0], start)
@@ -169,7 +204,6 @@ def verify_decomposition_lemma(
     into chain i+2.
     """
     _check_partition(g, decomp)
-    ypos = {j: p for p, j in enumerate(decomp.ordering.yperm, start=1)}
     checks: list[ClauseCheck] = []
     chains = decomp.chains
     strands = decomp.isolated_sets
@@ -186,7 +220,7 @@ def verify_decomposition_lemma(
             )
         )
         if idx < len(chains):
-            last_y = max(hy, key=lambda j: ypos[j])
+            last_y = max(hy, key=decomp.ordering.y_position)
             nxt_x = chains[idx][0]
             linked = sorted(set(g.neighbors_y(last_y)) & nxt_x)
             checks.append(

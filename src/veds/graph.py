@@ -21,7 +21,6 @@ __all__ = [
     "yref",
     "parse_vertex_name",
     "BipartiteGraph",
-    "SubgraphMaps",
     "build_graph",
     "is_ve_dominating_set",
     "first_undominated_edge",
@@ -51,9 +50,10 @@ def yref(j: int) -> VertexRef:
 def parse_vertex_name(text: str) -> VertexRef:
     """Parse ``"x3"`` / ``"y12"`` into a VertexRef."""
     text = text.strip()
-    if len(text) < 2 or text[0] not in ("x", "y") or not text[1:].isdigit():
+    digits = text[1:]
+    if len(text) < 2 or text[0] not in ("x", "y") or not (digits.isascii() and digits.isdigit()):
         raise InputError(f"invalid vertex name {text!r}: expected x<i> or y<j>")
-    index = int(text[1:])
+    index = int(digits)
     if index < 1:
         raise InputError(f"invalid vertex name {text!r}: indices are 1-based")
     return VertexRef(text[0], index)
@@ -178,37 +178,9 @@ def is_ve_dominating_set(g: BipartiteGraph, d: Iterable[VertexRef]) -> bool:
     return first_undominated_edge(g, d) is None
 
 
-class SubgraphMaps(NamedTuple):
-    """Index translations between a graph and one of its induced subgraphs."""
-
-    x_to_sub: dict[int, int]
-    x_from_sub: tuple[int, ...]
-    y_to_sub: dict[int, int]
-    y_from_sub: tuple[int, ...]
-
-    def lift(self, v: VertexRef) -> VertexRef:
-        """Translate a subgraph vertex back to the parent graph."""
-        if v.side == "x":
-            return xref(self.x_from_sub[v.index - 1])
-        return yref(self.y_from_sub[v.index - 1])
-
-    def lift_set(self, refs: Iterable[VertexRef]) -> frozenset[VertexRef]:
-        return frozenset(self.lift(v) for v in refs)
-
-    def push(self, v: VertexRef) -> VertexRef | None:
-        """Translate a parent-graph vertex into the subgraph, if retained."""
-        table = self.x_to_sub if v.side == "x" else self.y_to_sub
-        sub = table.get(v.index)
-        if sub is None:
-            return None
-        return VertexRef(v.side, sub)
-
-
-def induced_subgraph(
-    g: BipartiteGraph, xs: Iterable[int], ys: Iterable[int]
-) -> tuple[BipartiteGraph, SubgraphMaps]:
+def induced_subgraph(g: BipartiteGraph, xs: Iterable[int], ys: Iterable[int]) -> BipartiteGraph:
     """Induce on the given vertex sets, renumbering 1..|xs|, 1..|ys| in
-    ascending original order, and return the graph plus translation maps."""
+    ascending original order."""
     xs = sorted(set(xs))
     ys = sorted(set(ys))
     for i in xs:
@@ -217,17 +189,14 @@ def induced_subgraph(
     for j in ys:
         if not 1 <= j <= g.n2:
             raise InputError(f"y-index {j} out of range (n2={g.n2})")
-    x_to_sub = {orig: k + 1 for k, orig in enumerate(xs)}
     y_to_sub = {orig: k + 1 for k, orig in enumerate(ys)}
     edges = [
-        (x_to_sub[i], y_to_sub[j])
-        for i in xs
+        (k + 1, y_to_sub[j])
+        for k, i in enumerate(xs)
         for j in g.neighbors_x(i)
         if j in y_to_sub
     ]
-    sub = build_graph(len(xs), len(ys), edges)
-    maps = SubgraphMaps(x_to_sub, tuple(xs), y_to_sub, tuple(ys))
-    return sub, maps
+    return build_graph(len(xs), len(ys), edges)
 
 
 def connected_components(g: BipartiteGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

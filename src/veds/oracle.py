@@ -229,6 +229,8 @@ def cross_check(count: int, size_cap: int, seed: int) -> CrossCheckReport:
     n1 + n2 <= size_cap.  Disagreements ship the failing instance inline in
     the graph text format for immediate replay.
     """
+    if size_cap < 2:
+        raise InputError(f"size cap must be at least 2 vertices (got {size_cap})")
     agreements = 0
     disagreements: list[Disagreement] = []
     strict = 0

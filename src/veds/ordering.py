@@ -10,10 +10,11 @@ the combined structure is what the solver and decomposition consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from typing import NamedTuple, Sequence
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, ContractError, InputError
 from .graph import BipartiteGraph
 
 __all__ = [
@@ -27,6 +28,8 @@ __all__ = [
 ]
 
 EXHAUSTIVE_Y_LIMIT = 10
+
+Interval = tuple[int, int, int]  # (left position, right position, x-index)
 
 
 class ConvexityCheck(NamedTuple):
@@ -42,9 +45,31 @@ def identity_permutation(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-def _check_permutation(perm: Sequence[int], n: int, label: str) -> None:
-    if len(perm) != n or sorted(perm) != list(range(1, n + 1)):
-        raise InputError(f"{label} is not a permutation of 1..{n}: {tuple(perm)!r}")
+def _positions(yperm: Sequence[int], n: int) -> list[int]:
+    """``ypos[j]`` is the position of y_j under yperm (index 0 unused)."""
+    if len(yperm) != n or sorted(yperm) != list(range(1, n + 1)):
+        raise InputError(f"yperm is not a permutation of 1..{n}: {tuple(yperm)!r}")
+    ypos = [0] * (n + 1)
+    for p, j in enumerate(yperm, start=1):
+        ypos[j] = p
+    return ypos
+
+
+def _intervals(g: BipartiteGraph, ypos: list[int]) -> tuple[list[Interval], ConvexityCheck]:
+    """(left, right, x) for every non-isolated x in index order, stopping at
+    the first x whose neighbourhood leaves a gap under ypos."""
+    found: list[Interval] = []
+    for i, nb in enumerate(g.adj_x, start=1):
+        if not nb:
+            continue
+        ps = [ypos[j] for j in nb]
+        lo, hi = min(ps), max(ps)
+        if hi - lo + 1 != len(ps):
+            have = set(ps)
+            gap = next(p for p in range(lo, hi + 1) if p not in have)
+            return found, ConvexityCheck(False, i, gap)
+        found.append((lo, hi, i))
+    return found, ConvexityCheck(True, None, None)
 
 
 def validate_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> ConvexityCheck:
@@ -53,108 +78,84 @@ def validate_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> Convexi
     Reports the smallest violating x-index together with the first uncovered
     position inside its interval span.
     """
-    _check_permutation(yperm, g.n2, "yperm")
-    pos = {j: p for p, j in enumerate(yperm, start=1)}
-    for i in range(1, g.n1 + 1):
-        nb = g.neighbors_x(i)
-        if len(nb) <= 1:
-            continue
-        ps = sorted(pos[j] for j in nb)
-        if ps[-1] - ps[0] + 1 == len(ps):
-            continue
-        have = set(ps)
-        gap = next(p for p in range(ps[0], ps[-1] + 1) if p not in have)
-        return ConvexityCheck(False, i, gap)
-    return ConvexityCheck(True, None, None)
+    return _intervals(g, _positions(yperm, g.n2))[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LexConvexOrdering:
-    """A convex ordering of Y plus the lexicographic re-ordering of X.
+    """A convex ordering of Y plus the lexicographic re-ordering of X, tied to
+    the graph it was built from.
 
-    ``left_x[k]`` / ``right_x[k]`` give the Y-position interval of the x vertex
-    at position k+1 (None for isolated vertices, which sit at the front of
-    xperm).  ``left_y`` / ``right_y`` give, for each Y-position, the minimum and
-    maximum X-positions among its neighbours; no contiguity is implied on the
-    X side.
+    Only ``graph`` and ``yperm`` are inputs.  Construction checks convexity
+    (InputError on a gap) and derives every other field in the same pass, so
+    an ordering always agrees with its graph.
+
+    ``intervals`` lists ``(left, right, x)`` Y-position intervals of the
+    non-isolated X vertices in lexicographic order.  ``left_x[k]`` /
+    ``right_x[k]`` give the interval of the x vertex at position k+1 (None
+    for isolated vertices, which sit at the front of xperm).  ``left_y`` /
+    ``right_y`` give, for each Y-position, the minimum and maximum
+    X-positions among its neighbours; they are computed when first read, and
+    no contiguity is implied on the X side.
     """
 
-    xperm: tuple[int, ...]
+    graph: BipartiteGraph = field(repr=False)
     yperm: tuple[int, ...]
-    left_x: tuple[int | None, ...]
-    right_x: tuple[int | None, ...]
-    left_y: tuple[int | None, ...]
-    right_y: tuple[int | None, ...]
-    _xpos: dict[int, int] = field(init=False, repr=False, compare=False)
-    _ypos: dict[int, int] = field(init=False, repr=False, compare=False)
+    xperm: tuple[int, ...] = field(init=False, compare=False)
+    left_x: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    right_x: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    intervals: tuple[Interval, ...] = field(init=False, repr=False, compare=False)
+    _ypos: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._xpos = {i: p for p, i in enumerate(self.xperm, start=1)}
-        self._ypos = {j: p for p, j in enumerate(self.yperm, start=1)}
-
-    def x_position(self, i: int) -> int:
-        return self._xpos[i]
+        g = self.graph
+        ypos = _positions(self.yperm, g.n2)
+        found, check = _intervals(g, ypos)
+        if not check.ok:
+            raise InputError(
+                f"yperm is not a convex ordering: N(x{check.violator}) has a gap "
+                f"at position {check.gap_position}"
+            )
+        found.sort()
+        isolated = tuple(i for i, nb in enumerate(g.adj_x, start=1) if not nb)
+        blank = (None,) * len(isolated)
+        derived = {
+            "yperm": tuple(self.yperm),
+            "xperm": isolated + tuple(e[2] for e in found),
+            "left_x": blank + tuple(e[0] for e in found),
+            "right_x": blank + tuple(e[1] for e in found),
+            "intervals": tuple(found),
+            "_ypos": tuple(ypos),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def y_position(self, j: int) -> int:
         return self._ypos[j]
 
-    def x_at(self, position: int) -> int:
-        return self.xperm[position - 1]
+    @cached_property
+    def left_y(self) -> tuple[int | None, ...]:
+        return self._x_ends(min)
 
-    def y_at(self, position: int) -> int:
-        return self.yperm[position - 1]
+    @cached_property
+    def right_y(self) -> tuple[int | None, ...]:
+        return self._x_ends(max)
+
+    def _x_ends(self, pick) -> tuple[int | None, ...]:
+        xpos = {i: p for p, i in enumerate(self.xperm, start=1)}
+        return tuple(
+            pick((xpos[i] for i in self.graph.neighbors_y(j)), default=None)
+            for j in self.yperm
+        )
 
 
 def compute_lex_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> LexConvexOrdering:
-    """Sort X by (left, right) with two stable bucket passes over positions.
+    """Validate yperm and sort X by (left, right), ties by original index.
 
-    Isolated x vertices carry no interval and are placed at the front; ties
-    after (left, right) break by original index.  Runs in O(n + m).
+    Isolated x vertices carry no interval and are placed at the front.  Runs
+    in O(m + n1 log n1).
     """
-    check = validate_convex_ordering(g, yperm)
-    if not check.ok:
-        raise InputError(
-            f"yperm is not a convex ordering: N(x{check.violator}) has a gap "
-            f"at position {check.gap_position}"
-        )
-    ypos = {j: p for p, j in enumerate(yperm, start=1)}
-    lefts = [0] * (g.n1 + 1)
-    rights = [0] * (g.n1 + 1)
-    for i in range(1, g.n1 + 1):
-        nb = g.neighbors_x(i)
-        if nb:
-            ps = [ypos[j] for j in nb]
-            lefts[i] = min(ps)
-            rights[i] = max(ps)
-
-    def bucket_pass(seq: list[int], key: list[int]) -> list[int]:
-        buckets: list[list[int]] = [[] for _ in range(g.n2 + 1)]
-        for i in seq:
-            buckets[key[i]].append(i)
-        return [i for b in buckets for i in b]
-
-    order = bucket_pass(list(range(1, g.n1 + 1)), rights)
-    order = bucket_pass(order, lefts)
-
-    left_x = tuple(lefts[i] or None for i in order)
-    right_x = tuple(rights[i] or None for i in order)
-    xpos = {i: p for p, i in enumerate(order, start=1)}
-    left_y: list[int | None] = [None] * g.n2
-    right_y: list[int | None] = [None] * g.n2
-    for p, j in enumerate(yperm, start=1):
-        nb = g.neighbors_y(j)
-        if nb:
-            ps = [xpos[i] for i in nb]
-            left_y[p - 1] = min(ps)
-            right_y[p - 1] = max(ps)
-    return LexConvexOrdering(
-        xperm=tuple(order),
-        yperm=tuple(yperm),
-        left_x=left_x,
-        right_x=right_x,
-        left_y=tuple(left_y),
-        right_y=tuple(right_y),
-    )
+    return LexConvexOrdering(g, yperm)
 
 
 def find_convex_ordering_exhaustive(g: BipartiteGraph) -> tuple[int, ...] | None:
@@ -176,41 +177,12 @@ def find_convex_ordering_exhaustive(g: BipartiteGraph) -> tuple[int, ...] | None
 
 
 def ensure_valid_lex_ordering(g: BipartiteGraph, ordering: LexConvexOrdering) -> None:
-    """Validate an ordering against a graph: permutation shapes, convexity,
-    interval endpoints, and the pairwise lexicographic condition.
+    """Check that an ordering is paired with the graph it was built from.
 
-    Raises InputError on the first violation found.
+    A LexConvexOrdering is validated when it is built and derives all its
+    fields from its own graph, so the only way to misuse one is to hand it
+    to a function together with a different graph.  Raises ContractError
+    when ``ordering.graph`` is not equal to g.
     """
-    _check_permutation(ordering.xperm, g.n1, "xperm")
-    check = validate_convex_ordering(g, ordering.yperm)
-    if not check.ok:
-        raise InputError(
-            f"ordering is not convex: N(x{check.violator}) has a gap at "
-            f"position {check.gap_position}"
-        )
-    ypos = {j: p for p, j in enumerate(ordering.yperm, start=1)}
-    xpos = {i: p for p, i in enumerate(ordering.xperm, start=1)}
-    for p, i in enumerate(ordering.xperm, start=1):
-        nb = g.neighbors_x(i)
-        want_l = min((ypos[j] for j in nb), default=None)
-        want_r = max((ypos[j] for j in nb), default=None)
-        if ordering.left_x[p - 1] != want_l or ordering.right_x[p - 1] != want_r:
-            raise InputError(f"interval endpoints for x{i} disagree with adjacency")
-    for p in range(1, g.n2 + 1):
-        nb = g.neighbors_y(ordering.yperm[p - 1])
-        want_l = min((xpos[i] for i in nb), default=None)
-        want_r = max((xpos[i] for i in nb), default=None)
-        if ordering.left_y[p - 1] != want_l or ordering.right_y[p - 1] != want_r:
-            raise InputError(f"span endpoints for position {p} disagree with adjacency")
-    # Lexicographic condition; checking adjacent positions suffices since the
-    # sort keys are totally ordered.
-    keys = [
-        (ordering.left_x[k] or 0, ordering.right_x[k] or 0)
-        for k in range(g.n1)
-    ]
-    for k in range(g.n1 - 1):
-        if keys[k] > keys[k + 1]:
-            raise InputError(
-                f"xperm violates the lexicographic condition between positions "
-                f"{k + 1} and {k + 2}"
-            )
+    if ordering.graph != g:
+        raise ContractError("the ordering was built for a different graph")

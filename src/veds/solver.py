@@ -19,64 +19,27 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, NamedTuple
 
-from .chains import ChainDecomposition
-from .errors import ContractError, InputError
+from .chains import ChainDecomposition, _clip, _coverage_runs, _is_connected
+from .errors import ContractError
 from .graph import (
     BipartiteGraph,
-    SubgraphMaps,
     VertexRef,
     build_graph,
-    connected_components,
-    induced_subgraph,
     is_ve_dominating_set,
     xref,
     yref,
 )
-from .ordering import LexConvexOrdering, ensure_valid_lex_ordering
+from .ordering import Interval, LexConvexOrdering, ensure_valid_lex_ordering
 
 __all__ = [
-    "FrontierIndices",
     "TraceStep",
     "SolveResult",
-    "frontier_indices",
     "solve_exact",
     "solve_baseline",
-    "reduce_to_suffix",
     "counterexample_graph",
 ]
-
-Branch = Literal["x_pivot", "y_blanket"]
-
-
-@dataclass(frozen=True)
-class FrontierIndices:
-    """Positions steering one recursion step, all relative to the ordering.
-
-    first_x_reach        Y-position of the farthest neighbour of the first X vertex.
-    pivot_x              X-position of the farthest neighbour of the first Y vertex.
-    pivot_reach          Y-position of the farthest neighbour of that pivot.
-    beyond_left_x        X-position of the nearest neighbour of the first Y vertex
-                         past pivot_reach (absent when pivot_reach is the last).
-    beyond_right_x       X-position of its farthest neighbour (same absence rule).
-    blanket_y            largest Y-position up to first_x_reach whose vertex is
-                         adjacent to every stranded vertex of the first peel
-                         (equals first_x_reach when nothing is stranded; absent
-                         when no position qualifies).
-    blanket_reach_x      X-position of the farthest neighbour of the blanket.
-    beyond_blanket_left_y  Y-position of the nearest neighbour of the X vertex
-                         just past blanket_reach_x (absent at the boundary).
-    """
-
-    first_x_reach: int
-    pivot_x: int
-    pivot_reach: int
-    beyond_left_x: int | None
-    beyond_right_x: int | None
-    blanket_y: int | None
-    blanket_reach_x: int | None
-    beyond_blanket_left_y: int | None
 
 
 class TraceStep(NamedTuple):
@@ -101,41 +64,8 @@ def counterexample_graph() -> BipartiteGraph:
     return build_graph(3, 3, [(1, 1), (1, 2), (2, 2), (3, 2), (3, 3)])
 
 
-def _clip(left: int, start: int) -> int:
-    return left if left > start else start
-
-
-Entry = tuple[int, int, int]  # (left position, right position, x-index)
-
-
-def _coverage_runs(entries: list[Entry], start: int) -> list[tuple[list[Entry], int, int]]:
-    """Group clipped intervals into maximal overlap-connected runs.
-
-    Entries must arrive sorted by (clipped left, right, index).  Two intervals
-    land in the same run iff a chain of pairwise-overlapping intervals joins
-    them, which for convex graphs is exactly connectivity; Y-positions not
-    covered by any run are isolated.
-    """
-    runs: list[tuple[list[Entry], int, int]] = []
-    members: list[Entry] = []
-    lo = hi = 0
-    for e in entries:
-        cl = _clip(e[0], start)
-        if members and cl <= hi:
-            members.append(e)
-            if e[1] > hi:
-                hi = e[1]
-        else:
-            if members:
-                runs.append((members, lo, hi))
-            members, lo, hi = [e], cl, e[1]
-    if members:
-        runs.append((members, lo, hi))
-    return runs
-
-
 def _solve_component(
-    entries: list[Entry],
+    entries: list[Interval],
     ylo: int,
     yhi: int,
     yname: Callable[[int], str],
@@ -156,7 +86,9 @@ def _solve_component(
     """
     memo: dict[tuple[int, int], tuple[int, tuple[tuple[str, int], ...]]] = {}
 
-    def solve(xs: list[Entry], start: int, floor: int) -> tuple[int, tuple[tuple[str, int], ...]]:
+    def solve(
+        xs: list[Interval], start: int, floor: int
+    ) -> tuple[int, tuple[tuple[str, int], ...]]:
         key = (floor, start)
         if memoize:
             hit = memo.get(key)
@@ -167,7 +99,9 @@ def _solve_component(
             memo[key] = res
         return res
 
-    def evaluate(xs: list[Entry], start: int, floor: int) -> tuple[int, tuple[tuple[str, int], ...]]:
+    def evaluate(
+        xs: list[Interval], start: int, floor: int
+    ) -> tuple[int, tuple[tuple[str, int], ...]]:
         if not xs:
             return 0, ()
         runs = _coverage_runs(xs, start)
@@ -237,18 +171,6 @@ def _solve_component(
     return solve(entries, ylo, ylo - 1)
 
 
-def _interval_entries(g: BipartiteGraph, ordering: LexConvexOrdering) -> list[Entry]:
-    ypos = {j: p for p, j in enumerate(ordering.yperm, start=1)}
-    entries: list[Entry] = []
-    for i in range(1, g.n1 + 1):
-        nb = g.neighbors_x(i)
-        if nb:
-            ps = [ypos[j] for j in nb]
-            entries.append((min(ps), max(ps), i))
-    entries.sort()
-    return entries
-
-
 def solve_exact(
     g: BipartiteGraph, ordering: LexConvexOrdering, *, memoize: bool = True
 ) -> SolveResult:
@@ -258,9 +180,8 @@ def solve_exact(
     witness is verified against the edge-domination definition before return.
     """
     ensure_valid_lex_ordering(g, ordering)
-    if g.m == 0:
+    if not ordering.intervals:
         return SolveResult(0, frozenset(), ())
-    entries = _interval_entries(g, ordering)
 
     def yname(position: int) -> str:
         return f"y{ordering.yperm[position - 1]}"
@@ -271,7 +192,7 @@ def solve_exact(
     trace: list[TraceStep] = []
     total = 0
     picked: list[tuple[str, int]] = []
-    for members, lo, hi in _coverage_runs(entries, 1):
+    for members, lo, hi in _coverage_runs(ordering.intervals, 1):
         cnt, wit = _solve_component(members, lo, hi, yname, trace, memoize)
         total += cnt
         picked.extend(wit)
@@ -283,101 +204,6 @@ def solve_exact(
     return SolveResult(total, witness, tuple(trace))
 
 
-def frontier_indices(
-    g: BipartiteGraph, ordering: LexConvexOrdering, decomp: ChainDecomposition
-) -> FrontierIndices:
-    """Compute the positions steering the first recursion step of the exact
-    solver, straight from their defining equalities."""
-    if g.m == 0:
-        raise ContractError("frontier indices are undefined for edgeless graphs")
-    if len(connected_components(g)) > 1:
-        raise ContractError("frontier indices require a connected graph")
-    ensure_valid_lex_ordering(g, ordering)
-    n1, n2 = g.n1, g.n2
-    first_x_reach = ordering.right_x[0]
-    pivot_x = ordering.right_y[0]
-    assert first_x_reach is not None and pivot_x is not None
-    pivot_reach = ordering.right_x[pivot_x - 1]
-    assert pivot_reach is not None
-    if pivot_reach < n2:
-        beyond_left_x = ordering.left_y[pivot_reach]
-        beyond_right_x = ordering.right_y[pivot_reach]
-    else:
-        beyond_left_x = beyond_right_x = None
-
-    stranded = decomp.isolated_sets[0] if decomp.isolated_sets else frozenset()
-    blanket_y: int | None
-    if stranded:
-        lefts = []
-        rights = []
-        for i in stranded:
-            p = ordering.x_position(i)
-            lefts.append(ordering.left_x[p - 1])
-            rights.append(ordering.right_x[p - 1])
-        blanket_y = min(first_x_reach, min(rights))
-        if blanket_y < max(lefts):
-            blanket_y = None
-    else:
-        blanket_y = first_x_reach
-
-    blanket_reach_x: int | None = None
-    beyond_blanket_left_y: int | None = None
-    if blanket_y is not None:
-        for p in range(1, n1 + 1):
-            lo, hi = ordering.left_x[p - 1], ordering.right_x[p - 1]
-            if lo is not None and lo <= blanket_y <= hi:
-                blanket_reach_x = p
-        assert blanket_reach_x is not None
-        if blanket_reach_x < n1:
-            beyond_blanket_left_y = ordering.left_x[blanket_reach_x]
-    return FrontierIndices(
-        first_x_reach=first_x_reach,
-        pivot_x=pivot_x,
-        pivot_reach=pivot_reach,
-        beyond_left_x=beyond_left_x,
-        beyond_right_x=beyond_right_x,
-        blanket_y=blanket_y,
-        blanket_reach_x=blanket_reach_x,
-        beyond_blanket_left_y=beyond_blanket_left_y,
-    )
-
-
-def reduce_to_suffix(
-    g: BipartiteGraph,
-    ordering: LexConvexOrdering,
-    fi: FrontierIndices,
-    branch: Branch,
-) -> tuple[BipartiteGraph, SubgraphMaps]:
-    """Materialise the subproblem a branch recurses on, dropping vertices the
-    truncation isolates.  Absent defining positions yield the empty
-    subproblem rather than an error."""
-    if branch == "x_pivot":
-        if fi.beyond_left_x is None:
-            return _empty_subproblem()
-        x_from, y_from = fi.beyond_left_x, fi.pivot_reach + 1
-    elif branch == "y_blanket":
-        if (
-            fi.blanket_y is None
-            or fi.blanket_reach_x is None
-            or fi.beyond_blanket_left_y is None
-        ):
-            return _empty_subproblem()
-        x_from, y_from = fi.blanket_reach_x + 1, fi.beyond_blanket_left_y
-    else:
-        raise InputError(f"unknown branch {branch!r}")
-    xs = [ordering.xperm[p - 1] for p in range(x_from, g.n1 + 1)]
-    ys = [ordering.yperm[p - 1] for p in range(y_from, g.n2 + 1)]
-    keep_y = set(ys)
-    touched_x = [i for i in xs if any(j in keep_y for j in g.neighbors_x(i))]
-    keep_x = set(touched_x)
-    touched_y = [j for j in ys if any(i in keep_x for i in g.neighbors_y(j))]
-    return induced_subgraph(g, touched_x, touched_y)
-
-
-def _empty_subproblem() -> tuple[BipartiteGraph, SubgraphMaps]:
-    return build_graph(0, 0, []), SubgraphMaps({}, (), {}, ())
-
-
 def solve_baseline(
     g: BipartiteGraph, ordering: LexConvexOrdering, decomp: ChainDecomposition
 ) -> SolveResult:
@@ -387,19 +213,15 @@ def solve_baseline(
     The result is always a valid VED-set (verified here) but not always a
     minimum one; see ``counterexample_graph``.
     """
-    if g.m == 0:
+    ensure_valid_lex_ordering(g, ordering)
+    if not ordering.intervals:
         raise ContractError("baseline requires at least one edge")
-    if len(connected_components(g)) > 1:
+    if not _is_connected(ordering):
         raise ContractError("baseline requires a connected graph; split components first")
-    ypos = {j: p for p, j in enumerate(ordering.yperm, start=1)}
-    reach: dict[int, int] = {}
-    for i in range(1, g.n1 + 1):
-        nb = g.neighbors_x(i)
-        if nb:
-            reach[i] = max(ypos[j] for j in nb)
+    reach = {i: right for _, right, i in ordering.intervals}
     pivots: list[int] = []
     for hx, hy in decomp.chains:
-        first_y = min(hy, key=ypos.__getitem__)
+        first_y = min(hy, key=ordering.y_position)
         candidates = [i for i in g.neighbors_y(first_y) if i in hx]
         pivots.append(max(candidates, key=lambda i: (reach[i], i)))
     witness = frozenset(xref(i) for i in pivots)

@@ -13,6 +13,24 @@ from veds import (
 )
 
 
+def ordered(g):
+    """Lex ordering of g under the identity Y ordering."""
+    return compute_lex_convex_ordering(g, identity_permutation(g.n2))
+
+
+def complete(n1, n2):
+    return build_graph(n1, n2, [(i, j) for i in range(1, n1 + 1) for j in range(1, n2 + 1)])
+
+
+def relabel_y(g, rng: random.Random):
+    """Rename Y by a random permutation of a graph convex under the identity
+    ordering; return the relabelled graph and its matching convex yperm."""
+    sigma = list(range(1, g.n2 + 1))
+    rng.shuffle(sigma)
+    relabelled = build_graph(g.n1, g.n2, [(i, sigma[j - 1]) for i, j in g.edges()])
+    return relabelled, tuple(sigma)
+
+
 @pytest.fixture
 def counterexample():
     return counterexample_graph()

@@ -8,7 +8,6 @@ from veds import (
     compute_lex_convex_ordering,
     connected_components,
     decompose,
-    identity_permutation,
     induced_subgraph,
     is_chain_graph,
     verify_decomposition_lemma,
@@ -16,15 +15,7 @@ from veds import (
     yref,
 )
 
-from conftest import random_convex_instance
-
-
-def ordered(g):
-    return compute_lex_convex_ordering(g, identity_permutation(g.n2))
-
-
-def complete(n1, n2):
-    return build_graph(n1, n2, [(i, j) for i in range(1, n1 + 1) for j in range(1, n2 + 1)])
+from conftest import complete, ordered, random_convex_instance, relabel_y
 
 
 def test_decompose_counterexample(counterexample):
@@ -58,6 +49,24 @@ def test_decompose_requires_connected():
     g = build_graph(2, 2, [(1, 1), (2, 2)])
     with pytest.raises(ContractError, match="connected"):
         decompose(g, ordered(g))
+
+
+def test_decompose_rejects_exactly_the_disconnected():
+    # Connectivity is read off the interval runs; the BFS components are the
+    # reference.  Y is relabelled so positions and indices differ.
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(300):
+        g, yperm = relabel_y(random_convex_instance(rng)[0], rng)
+        ordv = compute_lex_convex_ordering(g, yperm)
+        disconnected = len(connected_components(g)) > 1
+        seen.add(disconnected)
+        if disconnected:
+            with pytest.raises(ContractError, match="connected"):
+                decompose(g, ordv)
+        else:
+            decompose(g, ordv)
+    assert seen == {False, True}
 
 
 def test_decompose_deterministic(p8):
@@ -123,7 +132,7 @@ def test_chain_remainders_are_emitted_whole():
         for i in range(k):
             xs = set().union(*(d.chains[j][0] | d.isolated_sets[j] for j in range(i, k)))
             ys = set().union(*(d.chains[j][1] for j in range(i, k)))
-            sub, _ = induced_subgraph(g, xs, ys)
+            sub = induced_subgraph(g, xs, ys)
             if is_chain_graph(sub):
                 assert i == k - 1
                 assert d.isolated_sets[i] == frozenset()
@@ -141,7 +150,7 @@ def test_random_decompositions_partition_and_verify():
         assert len(seen) == g.n
         for hx, hy in d.chains:
             assert hx and hy
-            sub, _ = induced_subgraph(g, hx, hy)
+            sub = induced_subgraph(g, hx, hy)
             assert is_chain_graph(sub)
         assert not d.tail_isolated  # connected inputs strand nothing
         assert verify_decomposition_lemma(g, d).passed

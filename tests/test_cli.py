@@ -91,6 +91,8 @@ def test_verify_bad_name_exits_2(cbg, capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", cbg, "--set", "y9")
     assert code == 2
+    code, _, err = run(capsys, "verify", cbg, "--set", "x²")
+    assert code == 2 and "invalid vertex name" in err
 
 
 def test_order_text_and_json(cbg, capsys):
@@ -175,6 +177,12 @@ def test_bench_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["trials"] == 5 and payload["agreements"] == 5
+
+
+def test_bench_rejects_size_cap_below_two(capsys):
+    for cap in ("1", "0"):
+        code, _, err = run(capsys, "bench", "--trials", "3", "--max-n", cap, "--seed", "0")
+        assert code == 2 and "size cap" in err
 
 
 def test_argparse_rejects_unknown_flags(cbg):

@@ -13,7 +13,7 @@ from veds import (
 )
 from veds.ordering import ensure_valid_lex_ordering
 
-from conftest import random_convex_instance
+from conftest import random_convex_instance, relabel_y
 
 
 def hexagon():
@@ -95,8 +95,9 @@ def test_lex_matches_comparison_sort_reference():
 def test_interval_consistency_and_totality():
     rng = random.Random(13)
     for _ in range(120):
-        g, ordv = random_convex_instance(rng)
-        ypos = {j: p for p, j in enumerate(ordv.yperm, start=1)}
+        g, yperm = relabel_y(random_convex_instance(rng)[0], rng)
+        ordv = compute_lex_convex_ordering(g, yperm)
+        ypos = {j: p for p, j in enumerate(yperm, start=1)}
         for p, i in enumerate(ordv.xperm, start=1):
             positions = sorted(ypos[j] for j in g.neighbors_x(i))
             lo, hi = ordv.left_x[p - 1], ordv.right_x[p - 1]
@@ -104,6 +105,13 @@ def test_interval_consistency_and_totality():
                 assert lo is None and hi is None
             else:
                 assert positions == list(range(lo, hi + 1))
+        # The shared interval list is (min, max, x) from adjacency, in lex order.
+        expected = sorted(
+            (min(ypos[j] for j in nb), max(ypos[j] for j in nb), i)
+            for i, nb in enumerate(g.adj_x, start=1)
+            if nb
+        )
+        assert list(ordv.intervals) == expected
         # Adjacent-pair lexicographic check agrees with the full pairwise one.
         keys = [(ordv.left_x[k] or 0, ordv.right_x[k] or 0) for k in range(g.n1)]
         adjacent = all(keys[k] <= keys[k + 1] for k in range(g.n1 - 1))
@@ -119,10 +127,8 @@ def test_permutations_are_bijections():
         g, ordv = random_convex_instance(rng)
         assert sorted(ordv.xperm) == list(range(1, g.n1 + 1))
         assert sorted(ordv.yperm) == list(range(1, g.n2 + 1))
-        for i in ordv.xperm:
-            assert ordv.x_at(ordv.x_position(i)) == i
         for j in ordv.yperm:
-            assert ordv.y_at(ordv.y_position(j)) == j
+            assert ordv.yperm[ordv.y_position(j) - 1] == j
 
 
 def test_exhaustive_search_counterexample(counterexample):

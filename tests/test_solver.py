@@ -7,28 +7,16 @@ from veds import (
     ContractError,
     build_graph,
     brute_force_gamma_ve,
-    compute_lex_convex_ordering,
     counterexample_graph,
     decompose,
-    frontier_indices,
-    identity_permutation,
     is_ve_dominating_set,
-    reduce_to_suffix,
     solve_baseline,
     solve_exact,
     xref,
     yref,
 )
 
-from conftest import naive_ve_dominates, random_convex_instance
-
-
-def ordered(g):
-    return compute_lex_convex_ordering(g, identity_permutation(g.n2))
-
-
-def complete(n1, n2):
-    return build_graph(n1, n2, [(i, j) for i in range(1, n1 + 1) for j in range(1, n2 + 1)])
+from conftest import complete, naive_ve_dominates, ordered, random_convex_instance
 
 
 def exhaustive_gamma(g):
@@ -39,41 +27,6 @@ def exhaustive_gamma(g):
             if naive_ve_dominates(g, combo):
                 return size, frozenset(combo)
     raise AssertionError("unreachable")
-
-
-def test_frontier_p8(p8):
-    fi = frontier_indices(p8, ordered(p8), decompose(p8, ordered(p8)))
-    assert (fi.first_x_reach, fi.pivot_x, fi.pivot_reach) == (1, 2, 2)
-    assert (fi.beyond_left_x, fi.beyond_right_x) == (3, 4)
-    assert (fi.blanket_y, fi.blanket_reach_x, fi.beyond_blanket_left_y) == (1, 2, 2)
-
-
-def test_frontier_complete_bipartite():
-    g = complete(3, 4)
-    fi = frontier_indices(g, ordered(g), decompose(g, ordered(g)))
-    assert (fi.pivot_x, fi.pivot_reach) == (3, 4)
-    assert fi.beyond_left_x is None and fi.beyond_right_x is None
-    assert fi.blanket_y == 4
-    assert fi.blanket_reach_x == 3
-    assert fi.beyond_blanket_left_y is None
-
-
-def test_frontier_counterexample(counterexample):
-    fi = frontier_indices(
-        counterexample, ordered(counterexample), decompose(counterexample, ordered(counterexample))
-    )
-    assert (fi.first_x_reach, fi.pivot_x, fi.pivot_reach) == (2, 1, 2)
-    assert (fi.beyond_left_x, fi.beyond_right_x) == (3, 3)
-    assert fi.blanket_y == 2
-    assert fi.blanket_reach_x == 3
-    assert fi.beyond_blanket_left_y is None
-
-
-def test_frontier_requires_edges():
-    g = build_graph(1, 0, [])
-    ordv = compute_lex_convex_ordering(g, ())
-    with pytest.raises(ContractError):
-        frontier_indices(g, ordv, decompose(g, ordv))
 
 
 def test_exact_counterexample(counterexample):
@@ -133,44 +86,18 @@ def test_baseline_requires_connected():
         solve_baseline(g, ordered(g), None)
 
 
-def test_reduce_to_suffix_p8(p8):
-    ordv = ordered(p8)
-    fi = frontier_indices(p8, ordv, decompose(p8, ordv))
-    sub, maps = reduce_to_suffix(p8, ordv, fi, "x_pivot")
-    assert maps.x_from_sub == (3, 4) and maps.y_from_sub == (3, 4)
-    assert sorted(sub.edges()) == [(1, 1), (2, 1), (2, 2)]
-    sub2, maps2 = reduce_to_suffix(p8, ordv, fi, "y_blanket")
-    assert maps2.x_from_sub == (3, 4) and maps2.y_from_sub == (2, 3, 4)
-    assert sub2.m == 4
-
-
-def test_reduce_to_suffix_empty_branch():
-    g = complete(2, 3)
-    ordv = ordered(g)
-    fi = frontier_indices(g, ordv, decompose(g, ordv))
-    sub, maps = reduce_to_suffix(g, ordv, fi, "x_pivot")
-    assert (sub.n1, sub.n2, sub.m) == (0, 0, 0)
-    assert maps.x_from_sub == ()
-
-
-def test_reduce_to_suffix_empty_blanket_branch(counterexample):
-    # The blanket reaches the last X position, so nothing lies beyond it.
+def test_ordering_of_another_graph_is_a_contract_error(counterexample):
+    # Same side sizes, different edges: the ordering belongs to its own graph.
+    other = complete(3, 3)
     ordv = ordered(counterexample)
-    fi = frontier_indices(counterexample, ordv, decompose(counterexample, ordv))
-    sub, maps = reduce_to_suffix(counterexample, ordv, fi, "y_blanket")
-    assert (sub.n1, sub.n2, sub.m) == (0, 0, 0)
-    assert maps.y_from_sub == ()
-
-
-def test_reduce_to_suffix_matches_recursion_counts(p8):
-    # gamma of the whole path equals 1 plus the smaller branch gamma.
-    ordv = ordered(p8)
-    fi = frontier_indices(p8, ordv, decompose(p8, ordv))
-    parts = []
-    for branch in ("x_pivot", "y_blanket"):
-        sub, _ = reduce_to_suffix(p8, ordv, fi, branch)
-        parts.append(brute_force_gamma_ve(sub).gamma_ve)
-    assert 1 + min(parts) == brute_force_gamma_ve(p8).gamma_ve == 2
+    decomp = decompose(counterexample, ordv)
+    for call in (
+        lambda: solve_exact(other, ordv),
+        lambda: decompose(other, ordv),
+        lambda: solve_baseline(other, ordv, decomp),
+    ):
+        with pytest.raises(ContractError, match="different graph"):
+            call()
 
 
 def test_exact_agrees_with_both_oracles_small():
