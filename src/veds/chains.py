@@ -33,13 +33,16 @@ class ChainDecomposition:
     ``chains[i]`` is the (X, Y) vertex pair of the i-th chain (original
     indices); ``isolated_sets[i]`` holds the X vertices stranded right after
     it (possibly empty, always the same length as ``chains``).
-    ``tail_isolated`` collects vertices left untouched at the end; it stays
-    empty for connected inputs and exists to flag degenerate cases.  The
-    ordering the decomposition was computed under is kept for verification.
+    ``pivots[i]`` is the farthest-reaching neighbour of chain i's first Y
+    vertex, ties to the larger index: the chain-pivot baseline's pick.
+    ``tail_isolated`` holds the vertices no chain covers, which only happens
+    for the edgeless one-vertex graph.  The ordering the decomposition was
+    computed under is kept for verification.
     """
 
     chains: tuple[tuple[frozenset[int], frozenset[int]], ...]
     isolated_sets: tuple[frozenset[int], ...]
+    pivots: tuple[int, ...]
     tail_isolated: frozenset[VertexRef]
     ordering: LexConvexOrdering
 
@@ -52,33 +55,26 @@ class ChainDecomposition:
         return parts
 
 
-def _clip(left: int, start: int) -> int:
-    return left if left > start else start
+def _coverage_runs(entries: Sequence[Interval]) -> list[tuple[list[Interval], int, int]]:
+    """Group intervals into maximal overlap-connected runs.
 
-
-def _coverage_runs(
-    entries: Sequence[Interval], start: int
-) -> list[tuple[list[Interval], int, int]]:
-    """Group clipped intervals into maximal overlap-connected runs.
-
-    Entries must arrive sorted by (clipped left, right, index).  Two intervals
-    land in the same run iff a chain of pairwise-overlapping intervals joins
-    them, which for convex graphs is exactly connectivity; Y-positions not
-    covered by any run are isolated.
+    Entries must arrive clipped to their state's start and sorted.  Two
+    intervals land in the same run iff a chain of pairwise-overlapping
+    intervals joins them, which for convex graphs is exactly connectivity;
+    Y-positions not covered by any run are isolated.
     """
     runs: list[tuple[list[Interval], int, int]] = []
     members: list[Interval] = []
     lo = hi = 0
     for e in entries:
-        cl = _clip(e[0], start)
-        if members and cl <= hi:
+        if members and e[0] <= hi:
             members.append(e)
             if e[1] > hi:
                 hi = e[1]
         else:
             if members:
                 runs.append((members, lo, hi))
-            members, lo, hi = [e], cl, e[1]
+            members, lo, hi = [e], e[0], e[1]
     if members:
         runs.append((members, lo, hi))
     return runs
@@ -90,7 +86,7 @@ def _is_connected(ordering: LexConvexOrdering) -> bool:
     g = ordering.graph
     if g.n <= 1:
         return True
-    runs = _coverage_runs(ordering.intervals, 1)
+    runs = _coverage_runs(ordering.intervals)
     return (
         len(ordering.intervals) == g.n1
         and len(runs) == 1
@@ -98,72 +94,72 @@ def _is_connected(ordering: LexConvexOrdering) -> bool:
     )
 
 
-def _nested(entries: list[Interval], start: int) -> bool:
-    """True when the clipped intervals form a chain under containment."""
-    seq = sorted(entries, key=lambda e: (_clip(e[0], start), -e[1]))
+def _nested(entries: list[Interval]) -> bool:
+    """True when the intervals form a chain under containment."""
+    seq = sorted(entries, key=lambda e: (e[0], -e[1]))
     return all(seq[k][1] >= seq[k + 1][1] for k in range(len(seq) - 1))
+
+
+def _peel(
+    entries: list[Interval],
+) -> tuple[list[Interval], list[Interval], list[Interval]]:
+    """Split clipped, sorted, non-empty entries at the first chain.
+
+    The start is the first entry's left end.  ``front`` holds the intervals
+    containing the start, its last one the pivot (farthest reach, then
+    largest index); ``stranded`` the later intervals ending within the
+    pivot's reach; ``future`` the rest, clipped to reach + 1 and sorted.
+    Every front interval ends at or before the reach, so none is kept.
+    """
+    start = entries[0][0]
+    k = 1
+    while k < len(entries) and entries[k][0] <= start:
+        k += 1
+    reach = entries[k - 1][1]
+    after = reach + 1
+    rest = entries[k:]
+    stranded = [e for e in rest if e[1] <= reach]
+    future = sorted(e if e[0] > after else (after, e[1], e[2]) for e in rest if e[1] > reach)
+    return entries[:k], stranded, future
 
 
 def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposition:
     """Peel chains off a connected convex bipartite graph.
 
     All reasoning happens on ordering positions; the reported sets carry
-    original vertex indices.  The X ordering is re-derived per stage because
-    truncating Y can break the lexicographic condition of the inherited one.
+    original vertex indices.  Each peel starts one past the previous chain's
+    reach, and the last reach is the final Y position.
     """
     ensure_valid_lex_ordering(g, ordering)
     if not _is_connected(ordering):
         raise ContractError("decompose requires a connected graph; split components first")
+    if not ordering.intervals:
+        # No edges: a connected graph this small is a single vertex.
+        tail = frozenset(g.vertices())
+        return ChainDecomposition((), (), (), tail, ordering)
 
     chains: list[tuple[frozenset[int], frozenset[int]]] = []
     strands: list[frozenset[int]] = []
-    tail: set[VertexRef] = set()
-    if not ordering.intervals:
-        # No edges: a connected graph this small is a single vertex.
-        tail.update(xref(i) for i in range(1, g.n1 + 1))
-        tail.update(yref(j) for j in range(1, g.n2 + 1))
-        return ChainDecomposition((), (), frozenset(tail), ordering)
-
-    def y_original(position: int) -> int:
-        return ordering.yperm[position - 1]
-
-    start = 1
+    pivots: list[int] = []
     remaining = list(ordering.intervals)
     while remaining:
-        remaining.sort(key=lambda e: (_clip(e[0], start), e[1], e[2]))
-        lowest = _clip(remaining[0][0], start)
-        if lowest > start:
-            # Stranded Y positions: impossible for connected inputs, flagged
-            # rather than guessed when they do appear.
-            tail.update(yref(y_original(p)) for p in range(start, lowest))
-            start = lowest
-        k = 1
-        while k < len(remaining) and remaining[k][0] <= start:
-            k += 1
-        front = remaining[:k]
-        pivot = front[-1]
-        reach = pivot[1]
-        rest = remaining[k:]
-        stranded = [e for e in rest if e[1] <= reach]
-        future = [e for e in rest if e[1] > reach]
-        y_block = frozenset(y_original(p) for p in range(start, reach + 1))
+        front, stranded, remaining = _peel(remaining)
+        start, reach, pivot = front[-1]
+        y_block = frozenset(ordering.yperm[p - 1] for p in range(start, reach + 1))
+        pivots.append(pivot)
         whole_is_chain = (
-            not future
+            not remaining
             and stranded
-            and _nested(stranded, start)
+            and _nested(stranded)
             and max(e[1] for e in stranded) <= min(e[1] for e in front)
         )
         if whole_is_chain:
-            chains.append((frozenset(e[2] for e in front + stranded), y_block))
-            strands.append(frozenset())
-        else:
-            chains.append((frozenset(e[2] for e in front), y_block))
-            strands.append(frozenset(e[2] for e in stranded))
-        remaining = future
-        start = reach + 1
-    if start <= g.n2:
-        tail.update(yref(y_original(p)) for p in range(start, g.n2 + 1))
-    return ChainDecomposition(tuple(chains), tuple(strands), frozenset(tail), ordering)
+            front, stranded = front + stranded, []
+        chains.append((frozenset(e[2] for e in front), y_block))
+        strands.append(frozenset(e[2] for e in stranded))
+    return ChainDecomposition(
+        tuple(chains), tuple(strands), tuple(pivots), frozenset(), ordering
+    )
 
 
 def is_chain_graph(g: BipartiteGraph) -> bool:
@@ -203,6 +199,7 @@ def verify_decomposition_lemma(
     chain i+1; (c) chain i has no adjacency into the strand of round i+1 nor
     into chain i+2.
     """
+    ensure_valid_lex_ordering(g, decomp.ordering)
     _check_partition(g, decomp)
     checks: list[ClauseCheck] = []
     chains = decomp.chains

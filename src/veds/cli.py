@@ -27,7 +27,6 @@ from .io import (
     format_graph_text,
     load_graph,
     load_set_system,
-    save_graph,
 )
 from .oracle import (
     GeneratorConfig,
@@ -83,7 +82,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.algorithm == "exact":
             result = solve_exact(g, ordering)
         else:
-            result = solve_baseline(g, ordering, decompose(g, ordering))
+            result = solve_baseline(g, ordering)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if args.json:
         payload = {

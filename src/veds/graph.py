@@ -9,7 +9,6 @@ is ve-dominated by some member of D.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -88,21 +87,11 @@ class BipartiteGraph:
     def neighbors_y(self, j: int) -> tuple[int, ...]:
         return self.adj_y[j - 1]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        nb = self.adj_x[i - 1]
-        k = bisect_left(nb, j)
-        return k < len(nb) and nb[k] == j
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (x-index, y-index) in ascending order."""
         for i, nb in enumerate(self.adj_x, start=1):
             for j in nb:
                 yield (i, j)
-
-    def degree(self, v: VertexRef) -> int:
-        if v.side == "x":
-            return len(self.adj_x[v.index - 1])
-        return len(self.adj_y[v.index - 1])
 
     def vertices(self) -> Iterator[VertexRef]:
         for i in range(1, self.n1 + 1):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .chains import decompose
 from .errors import CapacityError, GenerationError, InputError
 from .graph import BipartiteGraph, build_graph, connected_components
 from .io import format_graph_text
@@ -231,6 +230,8 @@ def cross_check(count: int, size_cap: int, seed: int) -> CrossCheckReport:
     """
     if size_cap < 2:
         raise InputError(f"size cap must be at least 2 vertices (got {size_cap})")
+    if count < 0:
+        raise InputError(f"trial count must not be negative (got {count})")
     agreements = 0
     disagreements: list[Disagreement] = []
     strict = 0
@@ -256,7 +257,7 @@ def cross_check(count: int, size_cap: int, seed: int) -> CrossCheckReport:
                     exact.gamma_ve,
                 )
             )
-        baseline = solve_baseline(g, ordering, decompose(g, ordering))
+        baseline = solve_baseline(g, ordering)
         gap = baseline.gamma_ve - exact.gamma_ve
         gap_total += gap
         gap_max = max(gap_max, gap)

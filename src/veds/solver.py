@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .chains import ChainDecomposition, _clip, _coverage_runs, _is_connected
+from .chains import _coverage_runs, _peel, decompose
 from .errors import ContractError
 from .graph import (
     BipartiteGraph,
@@ -64,6 +64,22 @@ def counterexample_graph() -> BipartiteGraph:
     return build_graph(3, 3, [(1, 1), (1, 2), (2, 2), (3, 2), (3, 3)])
 
 
+def _solve_runs(
+    runs: list[tuple[list[Interval], int, int]],
+    yname: Callable[[int], str],
+    trace: list[TraceStep],
+    memoize: bool,
+) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """Sum of count and witness over independent coverage runs."""
+    total = 0
+    picked: tuple[tuple[str, int], ...] = ()
+    for members, lo, hi in runs:
+        cnt, wit = _solve_component(members, lo, hi, yname, trace, memoize)
+        total += cnt
+        picked += wit
+    return total, picked
+
+
 def _solve_component(
     entries: list[Interval],
     ylo: int,
@@ -74,9 +90,10 @@ def _solve_component(
 ) -> tuple[int, tuple[tuple[str, int], ...]]:
     """Count and witness for one connected piece, working purely on intervals.
 
-    ``entries`` are sorted by (clipped left, right, index) with every interval
-    inside [ylo, yhi] and every Y-position in range covered.  Witness entries
-    come back as ("x", index) / ("y", position) pairs.
+    ``entries`` are sorted, with every interval inside [ylo, yhi] and every
+    Y-position in range covered.  Every state's list is clipped to its start:
+    no left end lies before it.  Witness entries come back as ("x", index) /
+    ("y", position) pairs.
 
     Subproblems inside one component are always "keep intervals reaching past
     a Y threshold" (x-pivot step) or "keep intervals starting past a Y
@@ -104,36 +121,27 @@ def _solve_component(
     ) -> tuple[int, tuple[tuple[str, int], ...]]:
         if not xs:
             return 0, ()
-        runs = _coverage_runs(xs, start)
-        if len(runs) > 1 or runs[0][1] != start or runs[0][2] != yhi:
-            total = 0
-            picked: tuple[tuple[str, int], ...] = ()
-            for members, lo, hi in runs:
-                clipped = [(_clip(e[0], start), e[1], e[2]) for e in members]
-                cnt, wit = _solve_component(clipped, lo, hi, yname, trace, memoize)
-                total += cnt
-                picked += wit
-            trace.append(TraceStep((f"x{xs[0][2]}", yname(start)), "split", None))
-            return total, picked
-
         label = (f"x{xs[0][2]}", yname(start))
+        runs = _coverage_runs(xs)
+        if len(runs) > 1 or runs[0][1] != start or runs[0][2] != yhi:
+            res = _solve_runs(runs, yname, trace, memoize)
+            trace.append(TraceStep(label, "split", None))
+            return res
+
         first_reach = xs[0][1]
-        k = 1
-        while k < len(xs) and xs[k][0] <= start:
-            k += 1
-        pivot = xs[k - 1]
+        front, stranded, future = _peel(xs)
+        pivot = front[-1]
         reach = pivot[1]
         if reach == yhi:
             # The pivot's interval spans the whole remaining Y side.
             trace.append(TraceStep(label, "universal", f"x{pivot[2]}"))
             return 1, (("x", pivot[2]),)
-        max_left = _clip(xs[-1][0], start)
+        max_left = xs[-1][0]
         min_right = min(e[1] for e in xs)
         if max_left <= min_right:
             trace.append(TraceStep(label, "universal", yname(max_left)))
             return 1, (("y", max_left),)
 
-        stranded = [e for e in xs[k:] if e[1] <= reach]
         blanket: int | None
         if stranded:
             blanket = min(first_reach, min(e[1] for e in stranded))
@@ -142,22 +150,17 @@ def _solve_component(
         else:
             blanket = first_reach
 
-        after_reach = reach + 1
-        kept = [e for e in xs if e[1] >= after_reach]
-        kept.sort(key=lambda e: (_clip(e[0], after_reach), e[1], e[2]))
-        cnt, wit = solve(kept, after_reach, floor)
+        cnt, wit = solve(future, reach + 1, floor)
         best_count = 1 + cnt
         best_wit = wit + (("x", pivot[2]),)
         best_branch = "x_pivot"
         best_chosen = f"x{pivot[2]}"
         if blanket is not None:
-            last = -1
-            for at, e in enumerate(xs):
-                if _clip(e[0], start) <= blanket <= e[1]:
-                    last = at
-            after = xs[last + 1 :]
+            # Every interval here ends at or after the blanket, so the ones
+            # it covers are exactly those starting no later than it.
+            after = [e for e in xs if e[0] > blanket]
             if after:
-                cnt2, wit2 = solve(after, _clip(after[0][0], start), blanket)
+                cnt2, wit2 = solve(after, after[0][0], blanket)
             else:
                 cnt2, wit2 = 0, ()
             if 1 + cnt2 < best_count:
@@ -190,12 +193,7 @@ def solve_exact(
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)
     trace: list[TraceStep] = []
-    total = 0
-    picked: list[tuple[str, int]] = []
-    for members, lo, hi in _coverage_runs(ordering.intervals, 1):
-        cnt, wit = _solve_component(members, lo, hi, yname, trace, memoize)
-        total += cnt
-        picked.extend(wit)
+    total, picked = _solve_runs(_coverage_runs(ordering.intervals), yname, trace, memoize)
     witness = frozenset(
         xref(idx) if side == "x" else yref(ordering.yperm[idx - 1])
         for side, idx in picked
@@ -204,26 +202,16 @@ def solve_exact(
     return SolveResult(total, witness, tuple(trace))
 
 
-def solve_baseline(
-    g: BipartiteGraph, ordering: LexConvexOrdering, decomp: ChainDecomposition
-) -> SolveResult:
-    """One pivot per chain: the farthest-reaching neighbour of each chain's
-    first Y vertex.
+def solve_baseline(g: BipartiteGraph, ordering: LexConvexOrdering) -> SolveResult:
+    """One pivot per chain of ``decompose(g, ordering)``: the
+    farthest-reaching neighbour of each chain's first Y vertex.
 
     The result is always a valid VED-set (verified here) but not always a
     minimum one; see ``counterexample_graph``.
     """
-    ensure_valid_lex_ordering(g, ordering)
+    decomp = decompose(g, ordering)
     if not ordering.intervals:
         raise ContractError("baseline requires at least one edge")
-    if not _is_connected(ordering):
-        raise ContractError("baseline requires a connected graph; split components first")
-    reach = {i: right for _, right, i in ordering.intervals}
-    pivots: list[int] = []
-    for hx, hy in decomp.chains:
-        first_y = min(hy, key=ordering.y_position)
-        candidates = [i for i in g.neighbors_y(first_y) if i in hx]
-        pivots.append(max(candidates, key=lambda i: (reach[i], i)))
-    witness = frozenset(xref(i) for i in pivots)
+    witness = frozenset(xref(i) for i in decomp.pivots)
     assert is_ve_dominating_set(g, witness)
     return SolveResult(len(witness), witness, ())

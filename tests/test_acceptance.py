@@ -70,7 +70,7 @@ def convex_suite():
                 graph=g,
                 ordering=ordering,
                 exact=solve_exact(g, ordering),
-                baseline=solve_baseline(g, ordering, decompose(g, ordering)),
+                baseline=solve_baseline(g, ordering),
                 truth=brute_force_gamma_ve(g).gamma_ve,
             )
         )
@@ -138,7 +138,7 @@ def test_criterion_2_counterexample_reproduction():
     started = time.perf_counter()
     g = counterexample_graph()
     ordering = compute_lex_convex_ordering(g, identity_permutation(g.n2))
-    base = solve_baseline(g, ordering, decompose(g, ordering))
+    base = solve_baseline(g, ordering)
     exact = solve_exact(g, ordering)
     truth = brute_force_gamma_ve(g)
     elapsed = time.perf_counter() - started
@@ -237,7 +237,7 @@ def test_criterion_7_witness_contract(convex_suite, system_suite):
     ordering = compute_lex_convex_ordering(g, identity_permutation(g.n2))
     for result in (
         solve_exact(g, ordering),
-        solve_baseline(g, ordering, decompose(g, ordering)),
+        solve_baseline(g, ordering),
     ):
         if len(result.witness) != result.gamma_ve or not is_ve_dominating_set(
             g, result.witness

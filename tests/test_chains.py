@@ -119,6 +119,11 @@ def test_lemma_rejects_foreign_decomposition(counterexample, p8):
     d = decompose(p8, ordered(p8))
     with pytest.raises(ContractError):
         verify_decomposition_lemma(counterexample, d)
+    # Same side sizes, so the vertex partition alone cannot tell them apart.
+    own = build_graph(2, 2, [(1, 1), (1, 2), (2, 2)])
+    other = build_graph(2, 2, [(1, 1), (2, 1), (2, 2)])
+    with pytest.raises(ContractError):
+        verify_decomposition_lemma(other, decompose(own, ordered(own)))
 
 
 def test_chain_remainders_are_emitted_whole():

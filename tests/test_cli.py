@@ -180,9 +180,13 @@ def test_bench_json(capsys):
 
 
 def test_bench_rejects_size_cap_below_two(capsys):
-    for cap in ("1", "0"):
-        code, _, err = run(capsys, "bench", "--trials", "3", "--max-n", cap, "--seed", "0")
-        assert code == 2 and "size cap" in err
+    for trials, cap, why in (
+        ("3", "1", "size cap"),
+        ("3", "0", "size cap"),
+        ("-2", "5", "trial count"),
+    ):
+        code, _, err = run(capsys, "bench", "--trials", trials, "--max-n", cap, "--seed", "0")
+        assert code == 2 and why in err
 
 
 def test_argparse_rejects_unknown_flags(cbg):

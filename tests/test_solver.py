@@ -2,11 +2,14 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veds import (
     ContractError,
     build_graph,
     brute_force_gamma_ve,
+    compute_lex_convex_ordering,
     counterexample_graph,
     decompose,
     is_ve_dominating_set,
@@ -16,7 +19,7 @@ from veds import (
     yref,
 )
 
-from conftest import complete, naive_ve_dominates, ordered, random_convex_instance
+from conftest import complete, naive_ve_dominates, ordered, random_convex_instance, relabel_y
 
 
 def exhaustive_gamma(g):
@@ -59,7 +62,7 @@ def test_exact_edgeless_and_disconnected():
 
 def test_baseline_counterexample_gap(counterexample):
     ordv = ordered(counterexample)
-    base = solve_baseline(counterexample, ordv, decompose(counterexample, ordv))
+    base = solve_baseline(counterexample, ordv)
     assert base.gamma_ve == 2
     assert base.witness == {xref(1), xref(3)}
     assert solve_exact(counterexample, ordv).gamma_ve == 1
@@ -68,14 +71,14 @@ def test_baseline_counterexample_gap(counterexample):
 def test_baseline_complete_bipartite():
     g = complete(3, 4)
     ordv = ordered(g)
-    base = solve_baseline(g, ordv, decompose(g, ordv))
+    base = solve_baseline(g, ordv)
     assert base.gamma_ve == 1
     assert base.witness == {xref(3)}
 
 
 def test_baseline_p8(p8):
     ordv = ordered(p8)
-    base = solve_baseline(p8, ordv, decompose(p8, ordv))
+    base = solve_baseline(p8, ordv)
     assert base.witness == {xref(2), xref(4)}
     assert base.gamma_ve == brute_force_gamma_ve(p8).gamma_ve
 
@@ -83,18 +86,68 @@ def test_baseline_p8(p8):
 def test_baseline_requires_connected():
     g = build_graph(2, 2, [(1, 1), (2, 2)])
     with pytest.raises(ContractError):
-        solve_baseline(g, ordered(g), None)
+        solve_baseline(g, ordered(g))
+
+
+def test_baseline_is_the_decomposition_pivots():
+    # Each pivot is the neighbour of its chain's first Y vertex that reaches
+    # farthest under the ordering, ties to the larger index.
+    rng = random.Random(127)
+    for _ in range(300):
+        g, _ = random_convex_instance(rng, max_side=9, connected=True)
+        g, sigma = relabel_y(g, rng)
+        ordv = compute_lex_convex_ordering(g, sigma)
+        d = decompose(g, ordv)
+        assert len(d.pivots) == len(d.chains)
+        for (hx, hy), pivot in zip(d.chains, d.pivots):
+            first_y = min(hy, key=ordv.y_position)
+            assert pivot == max(
+                (i for i in g.neighbors_y(first_y) if i in hx),
+                key=lambda i: (max(ordv.y_position(j) for j in g.neighbors_x(i)), i),
+            )
+        assert solve_baseline(g, ordv).witness == {xref(p) for p in d.pivots}
+
+
+@st.composite
+def interval_instances(draw):
+    """A convex graph drawn as Y intervals under a random Y labelling: the
+    graph, a copy with X relabelled, and their convex Y ordering."""
+    n2 = draw(st.integers(1, 40))
+    spans = draw(
+        st.lists(
+            st.tuples(st.integers(1, n2), st.integers(0, 6)), min_size=1, max_size=40
+        )
+    )
+    sigma = draw(st.permutations(range(1, n2 + 1)))
+    edges = [
+        (i, sigma[p - 1])
+        for i, (left, width) in enumerate(spans, start=1)
+        for p in range(left, min(left + width, n2) + 1)
+    ]
+    pi = draw(st.permutations(range(1, len(spans) + 1)))
+    g = build_graph(len(spans), n2, edges)
+    moved = build_graph(len(spans), n2, [(pi[i - 1], j) for i, j in edges])
+    return g, moved, tuple(sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_instances())
+def test_gamma_invariant_under_y_reversal_and_x_relabelling(case):
+    g, moved, sigma = case
+    gamma = solve_exact(g, compute_lex_convex_ordering(g, sigma)).gamma_ve
+    reversed_y = compute_lex_convex_ordering(g, sigma[::-1])
+    assert solve_exact(g, reversed_y).gamma_ve == gamma
+    assert solve_exact(moved, compute_lex_convex_ordering(moved, sigma)).gamma_ve == gamma
 
 
 def test_ordering_of_another_graph_is_a_contract_error(counterexample):
     # Same side sizes, different edges: the ordering belongs to its own graph.
     other = complete(3, 3)
     ordv = ordered(counterexample)
-    decomp = decompose(counterexample, ordv)
     for call in (
         lambda: solve_exact(other, ordv),
         lambda: decompose(other, ordv),
-        lambda: solve_baseline(other, ordv, decomp),
+        lambda: solve_baseline(other, ordv),
     ):
         with pytest.raises(ContractError, match="different graph"):
             call()
@@ -135,7 +188,7 @@ def test_witness_contract_and_baseline_dominance():
     for _ in range(150):
         g, ordv = random_convex_instance(rng, max_side=7, connected=True)
         exact = solve_exact(g, ordv)
-        base = solve_baseline(g, ordv, decompose(g, ordv))
+        base = solve_baseline(g, ordv)
         for r in (exact, base):
             assert is_ve_dominating_set(g, r.witness)
             assert len(r.witness) == r.gamma_ve
