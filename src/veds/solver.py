@@ -1,13 +1,20 @@
 """Exact and baseline solvers for minimum vertex-edge domination on convex
 bipartite graphs.
 
-The exact solver recurses on the ordering: either commit the
-farthest-reaching neighbour of the first Y vertex (an X pivot) and continue
-past everything it dominates, or commit a Y vertex that additionally covers
-every stranded X vertex of the first peel (a Y blanket) and continue past its
-reach; the smaller branch wins.  Universal vertices and edgeless remainders
-terminate the recursion, disconnected remainders split and sum, and states
-are memoised per component so the recursion stays polynomial.
+The exact solver walks the ordering: either commit the farthest-reaching
+neighbour of the first Y vertex (an X pivot) and continue past everything it
+dominates, or commit a Y vertex that additionally covers every stranded X
+vertex of the first peel (a Y blanket) and continue past its reach; the
+smaller branch wins.  Universal vertices and edgeless remainders end a
+branch, disconnected remainders split and sum, and states are memoised per
+connected piece so the work stays polynomial.
+
+Inside a connected piece a state is a pair (floor, start) and stands for the
+intervals with left end > floor and right end >= start.  Each state is read
+off the piece's index tables (see ``_Component``) with a few bisections, in
+O(log n); only a split builds an interval list.  States are evaluated on an
+explicit stack, so deep instances need no deep Python recursion and no
+change to the interpreter's recursion limit.
 
 The baseline solver picks one pivot per chain of the chain decomposition.
 It always yields a valid VED-set but is not always minimum;
@@ -17,11 +24,11 @@ vertices while the optimum is one.
 
 from __future__ import annotations
 
-import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Generator, NamedTuple
 
-from .chains import _coverage_runs, _peel, decompose
+from .chains import _coverage_runs, decompose
 from .errors import ContractError
 from .graph import (
     BipartiteGraph,
@@ -64,114 +71,161 @@ def counterexample_graph() -> BipartiteGraph:
     return build_graph(3, 3, [(1, 1), (1, 2), (2, 2), (3, 2), (3, 3)])
 
 
-def _solve_runs(
-    runs: list[tuple[list[Interval], int, int]],
-    yname: Callable[[int], str],
-    trace: list[TraceStep],
-    memoize: bool,
-) -> tuple[int, tuple[tuple[str, int], ...]]:
-    """Sum of count and witness over independent coverage runs."""
-    total = 0
-    picked: tuple[tuple[str, int], ...] = ()
-    for members, lo, hi in runs:
-        cnt, wit = _solve_component(members, lo, hi, yname, trace, memoize)
-        total += cnt
-        picked += wit
-    return total, picked
+# A witness is a cons list of ("x", index) / ("y", position) items, flattened
+# once by solve_exact.
+_Witness = tuple[tuple[str, int], "_Witness"] | None
 
 
-def _solve_component(
-    entries: list[Interval],
-    ylo: int,
-    yhi: int,
-    yname: Callable[[int], str],
-    trace: list[TraceStep],
-    memoize: bool,
-) -> tuple[int, tuple[tuple[str, int], ...]]:
-    """Count and witness for one connected piece, working purely on intervals.
+class _Component:
+    """One connected piece of the recursion and the tables its states read.
 
-    ``entries`` are sorted, with every interval inside [ylo, yhi] and every
-    Y-position in range covered.  Every state's list is clipped to its start:
-    no left end lies before it.  Witness entries come back as ("x", index) /
-    ("y", position) pairs.
+    A state ``(floor, start)`` stands for the intervals with left end > floor
+    and right end >= start.  ``entries`` are the piece's intervals, sorted,
+    none starting before ``ylo``, together covering [ylo, yhi]; ``lefts``
+    holds their left ends.  Built once, in O(n):
 
-    Subproblems inside one component are always "keep intervals reaching past
-    a Y threshold" (x-pivot step) or "keep intervals starting past a Y
-    threshold" (y-blanket step); the pair of thresholds identifies the state,
-    so memoisation keys on it.  Both steps advance the Y start strictly, which
-    bounds the recursion.
+    - ``sufmin[i]``: the least right end in ``entries[i:]``;
+    - ``cut[i]``: the largest boundary q <= yhi - 1 (between positions q and
+      q + 1) that no interval of ``entries[i:]`` spans with left <= q < right.
+      Intervals join only by overlap, so a boundary, not a position, is what
+      separates two runs.
+
+    ``fronts[s]``, built the first time start s is visited, holds the
+    intervals containing s in ``entries`` order, their left ends, and the
+    suffix minima and maxima of their (right, x).  ``memo`` maps a state to
+    its (count, witness).
     """
-    memo: dict[tuple[int, int], tuple[int, tuple[tuple[str, int], ...]]] = {}
 
-    def solve(
-        xs: list[Interval], start: int, floor: int
-    ) -> tuple[int, tuple[tuple[str, int], ...]]:
-        key = (floor, start)
-        if memoize:
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-        res = evaluate(xs, start, floor)
-        if memoize:
-            memo[key] = res
-        return res
+    __slots__ = ("entries", "lefts", "ylo", "yhi", "sufmin", "cut", "fronts", "memo")
 
-    def evaluate(
-        xs: list[Interval], start: int, floor: int
-    ) -> tuple[int, tuple[tuple[str, int], ...]]:
-        if not xs:
-            return 0, ()
-        label = (f"x{xs[0][2]}", yname(start))
-        runs = _coverage_runs(xs)
-        if len(runs) > 1 or runs[0][1] != start or runs[0][2] != yhi:
-            res = _solve_runs(runs, yname, trace, memoize)
-            trace.append(TraceStep(label, "split", None))
-            return res
+    def __init__(self, entries: list[Interval], ylo: int, yhi: int) -> None:
+        n = len(entries)
+        sufmin = [yhi + 1] * (n + 1)
+        cut = [yhi - 1] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            left, right, _ = entries[i]
+            sufmin[i] = min(right, sufmin[i + 1])
+            q = cut[i + 1]
+            cut[i] = left - 1 if left <= q < right else q
+        self.entries = entries
+        self.lefts = [e[0] for e in entries]
+        self.ylo, self.yhi = ylo, yhi
+        self.sufmin, self.cut = sufmin, cut
+        self.fronts: dict[int, tuple] = {}
+        self.memo: dict[tuple[int, int], tuple[int, _Witness]] = {}
 
-        first_reach = xs[0][1]
-        front, stranded, future = _peel(xs)
-        pivot = front[-1]
-        reach = pivot[1]
-        if reach == yhi:
-            # The pivot's interval spans the whole remaining Y side.
-            trace.append(TraceStep(label, "universal", f"x{pivot[2]}"))
-            return 1, (("x", pivot[2]),)
-        max_left = xs[-1][0]
-        min_right = min(e[1] for e in xs)
-        if max_left <= min_right:
-            trace.append(TraceStep(label, "universal", yname(max_left)))
-            return 1, (("y", max_left),)
+    def front(self, start: int) -> tuple:
+        table = self.fronts.get(start)
+        if table is None:
+            members = [e for e in self.entries[: bisect_right(self.lefts, start)] if e[1] >= start]
+            low = [(e[1], e[2]) for e in members]
+            high = low[:]
+            for k in range(len(low) - 2, -1, -1):
+                low[k] = min(low[k], low[k + 1])
+                high[k] = max(high[k], high[k + 1])
+            table = self.fronts[start] = (members, [e[0] for e in members], low, high)
+        return table
 
-        blanket: int | None
-        if stranded:
-            blanket = min(first_reach, min(e[1] for e in stranded))
-            if blanket < max(e[0] for e in stranded):
-                blanket = None
-        else:
-            blanket = first_reach
 
-        cnt, wit = solve(future, reach + 1, floor)
-        best_count = 1 + cnt
-        best_wit = wit + (("x", pivot[2]),)
-        best_branch = "x_pivot"
-        best_chosen = f"x{pivot[2]}"
-        if blanket is not None:
-            # Every interval here ends at or after the blanket, so the ones
-            # it covers are exactly those starting no later than it.
-            after = [e for e in xs if e[0] > blanket]
-            if after:
-                cnt2, wit2 = solve(after, after[0][0], blanket)
-            else:
-                cnt2, wit2 = 0, ()
-            if 1 + cnt2 < best_count:
-                best_count = 1 + cnt2
-                best_wit = wit2 + (("y", blanket),)
-                best_branch = "y_blanket"
-                best_chosen = yname(blanket)
-        trace.append(TraceStep(label, best_branch, best_chosen))
-        return best_count, best_wit
+_Request = tuple[_Component, int, int]  # (component, start, floor)
 
-    return solve(entries, ylo, ylo - 1)
+
+def _evaluate(
+    comp: _Component,
+    start: int,
+    floor: int,
+    yname: Callable[[int], str],
+    trace: list[TraceStep],
+) -> Generator[_Request, tuple[int, _Witness], tuple[int, _Witness]]:
+    """Count and witness of one state, read off ``comp``'s tables.
+
+    Yields each child state it needs as (component, start, floor) and is sent
+    back that state's (count, witness); appends its own trace step last.
+    """
+    entries, lefts, sufmin = comp.entries, comp.lefts, comp.sufmin
+    n = len(entries)
+    b = bisect_right(lefts, start)  # entries[b:] start after `start`
+    members, front_lefts, low, high = comp.front(start)
+    k = bisect_right(front_lefts, floor)  # members[k:] is the state's front
+    empty_front = k == len(members)
+    if empty_front and b == n:
+        return 0, None
+    label = (f"x{entries[b][2] if empty_front else low[k][1]}", yname(start))
+    if empty_front or comp.cut[b] >= high[k][0]:
+        # Disconnected, or not reaching yhi: solve each run as a fresh piece.
+        xs = sorted((start, e[1], e[2]) for e in members[k:]) + entries[b:]
+        count, witness = 0, None
+        for run, lo, hi in _coverage_runs(xs):
+            run_count, run_witness = yield _Component(run, lo, hi), lo, lo - 1
+            count += run_count
+            while run_witness is not None:
+                item, run_witness = run_witness
+                witness = (item, witness)
+        trace.append(TraceStep(label, "split", None))
+        return count, witness
+
+    first_reach = low[k][0]
+    reach, pivot = high[k]
+    if reach == comp.yhi:
+        # The pivot's interval spans the whole remaining Y side.
+        trace.append(TraceStep(label, "universal", f"x{pivot}"))
+        return 1, (("x", pivot), None)
+    # b < n here: with nothing starting after `start`, the front reaches yhi.
+    max_left = lefts[-1]
+    min_right = min(first_reach, sufmin[b])
+    if max_left <= min_right:
+        trace.append(TraceStep(label, "universal", yname(max_left)))
+        return 1, (("y", max_left), None)
+
+    # The blanket is the least right end; it covers exactly the intervals
+    # starting no later than it, so it fails iff a stranded interval (one
+    # ending within the pivot's reach) starts after it.
+    blanket = min_right
+    d = bisect_right(lefts, blanket)
+    count, witness = yield comp, reach + 1, floor
+    best_count = 1 + count
+    best_wit = (("x", pivot), witness)
+    best_branch = "x_pivot"
+    best_chosen = f"x{pivot}"
+    if sufmin[d] > reach:
+        count, witness = (yield comp, lefts[d], blanket) if d < n else (0, None)
+        if 1 + count < best_count:
+            best_count = 1 + count
+            best_wit = (("y", blanket), witness)
+            best_branch = "y_blanket"
+            best_chosen = yname(blanket)
+    trace.append(TraceStep(label, best_branch, best_chosen))
+    return best_count, best_wit
+
+
+def _solve(
+    root: _Component,
+    yname: Callable[[int], str],
+    trace: list[TraceStep],
+    memoize: bool,
+) -> tuple[int, _Witness]:
+    """Evaluate ``root``'s first state on an explicit stack of suspended
+    ``_evaluate`` calls: memo hits are answered at once, misses pushed."""
+    frames: list[tuple[Generator, dict, tuple[int, int]]] = []
+    request: _Request | None = (root, root.ylo, root.ylo - 1)
+    reply = None
+    while True:
+        if request is not None:
+            comp, start, floor = request
+            key = (floor, start)
+            reply = comp.memo.get(key) if memoize else None
+            if reply is None:
+                frames.append((_evaluate(comp, start, floor, yname, trace), comp.memo, key))
+        gen, memo, key = frames[-1]
+        try:
+            request = gen.send(reply)
+        except StopIteration as done:
+            frames.pop()
+            reply, request = done.value, None
+            if memoize:
+                memo[key] = reply
+            if not frames:
+                return reply
 
 
 def solve_exact(
@@ -189,17 +243,21 @@ def solve_exact(
     def yname(position: int) -> str:
         return f"y{ordering.yperm[position - 1]}"
 
-    needed = 4 * (g.n1 + g.n2) + 1000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
     trace: list[TraceStep] = []
-    total, picked = _solve_runs(_coverage_runs(ordering.intervals), yname, trace, memoize)
-    witness = frozenset(
+    total = 0
+    picked: list[tuple[str, int]] = []
+    for run, lo, hi in _coverage_runs(ordering.intervals):
+        count, witness = _solve(_Component(run, lo, hi), yname, trace, memoize)
+        total += count
+        while witness is not None:
+            item, witness = witness
+            picked.append(item)
+    witness_set = frozenset(
         xref(idx) if side == "x" else yref(ordering.yperm[idx - 1])
         for side, idx in picked
     )
-    assert len(witness) == total and is_ve_dominating_set(g, witness)
-    return SolveResult(total, witness, tuple(trace))
+    assert len(witness_set) == total and is_ve_dominating_set(g, witness_set)
+    return SolveResult(total, witness_set, tuple(trace))
 
 
 def solve_baseline(g: BipartiteGraph, ordering: LexConvexOrdering) -> SolveResult:

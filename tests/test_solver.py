@@ -1,10 +1,16 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import veds
 from veds import (
     ContractError,
     build_graph,
@@ -265,3 +271,115 @@ def test_trace_branches_and_chosen_names_wellformed():
                 assert step.chosen is None
             else:
                 assert step.chosen[0] in "xy"
+
+
+def chain_graph(n1, rng):
+    """Connected short-interval chain: lengths 2..6 in shuffled blocks, each
+    interval starting strictly inside the previous one (the benchmark's
+    deep-recursion shape)."""
+    intervals, lengths, left = [], [], 1
+    for _ in range(n1):
+        if not lengths:
+            lengths = [2, 3, 4, 5, 6]
+            rng.shuffle(lengths)
+        length = lengths.pop()
+        intervals.append((left, left + length - 1))
+        left = rng.randint(left + 1, left + length - 1)
+    edges = [(i, j) for i, (lo, hi) in enumerate(intervals, start=1) for j in range(lo, hi + 1)]
+    return build_graph(n1, max(hi for _, hi in intervals), edges)
+
+
+def short_interval_graph(rng):
+    """Up to 30 intervals of up to 6 positions on n2 <= 30: often
+    disconnected, and the family where nested splits are common."""
+    n2 = rng.randint(1, 30)
+    lefts = [rng.randint(1, n2) for _ in range(rng.randint(1, 30))]
+    spans = [(a, min(n2, a + rng.randint(0, 5))) for a in lefts]
+    edges = [(i, j) for i, (lo, hi) in enumerate(spans, start=1) for j in range(lo, hi + 1)]
+    return build_graph(len(spans), n2, edges)
+
+
+def golden_instances():
+    """Fixed seeded instances: 320 random draws (every other one Y-relabelled,
+    every fourth drawn connected), 24 relabelled chains, 600 relabelled
+    short-interval graphs and the paths P_2..P_200."""
+    rng = random.Random(2512)
+    for k in range(320):
+        g, ordv = random_convex_instance(rng, max_side=10, connected=k % 4 == 0)
+        if k % 2:
+            g, sigma = relabel_y(g, rng)
+            ordv = compute_lex_convex_ordering(g, sigma)
+        yield g, ordv
+    for n1 in range(2, 50, 2):
+        g, sigma = relabel_y(chain_graph(n1, rng), rng)
+        yield g, compute_lex_convex_ordering(g, sigma)
+    for _ in range(600):
+        g, sigma = relabel_y(short_interval_graph(rng), rng)
+        yield g, compute_lex_convex_ordering(g, sigma)
+    for k in range(2, 201):
+        g = path_graph(k)
+        yield g, ordered(g)
+
+
+def solve_digest(instances):
+    """sha256 over one line per instance: the repr of (gamma_ve, sorted
+    witness names, trace steps as plain tuples)."""
+    h = hashlib.sha256()
+    for g, ordv in instances:
+        r = solve_exact(g, ordv)
+        line = (r.gamma_ve, sorted(v.name() for v in r.witness), [tuple(s) for s in r.trace])
+        h.update(repr(line).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_golden_trace_digest():
+    # solve_digest(golden_instances()), memoisation on, computed with the
+    # recursive solver whose states each rebuilt their interval list, before
+    # the index-table one replaced it.  Any change to a count, a witness or a
+    # single trace step of these instances (69 of them split) shows here.
+    assert (
+        solve_digest(golden_instances())
+        == "fc3ac077dc407159f38325c40792b61b612771c27a6b5e040ac2f092333b65c8"
+    )
+
+
+def test_split_states_agree_with_brute_force_and_unmemoised():
+    # A nested split is rare (about 13 in 2000 draws) and is the only kind
+    # of state that still builds interval lists: draw until 50 instances
+    # under a random Y labelling have one.
+    rng = random.Random(131)
+    found = 0
+    for _ in range(20000):
+        g, _ = random_convex_instance(rng, max_side=8)
+        g, sigma = relabel_y(g, rng)
+        ordv = compute_lex_convex_ordering(g, sigma)
+        r = solve_exact(g, ordv)
+        if not any(step.branch == "split" for step in r.trace):
+            continue
+        assert r.gamma_ve == brute_force_gamma_ve(g).gamma_ve
+        plain = solve_exact(g, ordv, memoize=False)
+        assert (plain.gamma_ve, plain.witness) == (r.gamma_ve, r.witness)
+        found += 1
+        if found == 50:
+            break
+    assert found == 50
+
+
+def test_deep_path_leaves_the_recursion_limit_alone():
+    # P_1200 in a fresh interpreter, whose recursion limit is the default.
+    script = (
+        "import sys\n"
+        "from veds import build_graph, compute_lex_convex_ordering, identity_permutation, solve_exact\n"
+        "n = 600\n"
+        "edges = [(i, i) for i in range(1, n + 1)] + [(i + 1, i) for i in range(1, n)]\n"
+        "g = build_graph(n, n, edges)\n"
+        "r = solve_exact(g, compute_lex_convex_ordering(g, identity_permutation(n)))\n"
+        "print(r.gamma_ve, sys.getrecursionlimit())\n"
+    )
+    src = str(Path(veds.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["300", "1000"]
