@@ -9,12 +9,15 @@ smaller branch wins.  Universal vertices and edgeless remainders end a
 branch, disconnected remainders split and sum, and states are memoised per
 connected piece so the work stays polynomial.
 
-Inside a connected piece a state is a pair (floor, start) and stands for the
-intervals with left end > floor and right end >= start.  Each state is read
-off the piece's index tables (see ``_Component``) with a few bisections, in
-O(log n); only a split builds an interval list.  States are evaluated on an
-explicit stack, so deep instances need no deep Python recursion and no
-change to the interpreter's recursion limit.
+Inside a connected piece a state is asked for as (floor, start): the
+intervals with left end > floor and right end >= start.  Those are the
+sorted intervals containing start from index k on, plus every interval
+starting after start, so the pair (start, k) names the state and keys the
+memo; floors that keep the same intervals share one state and one trace step.
+Each state is read off the piece's index tables (see ``_Component``) with a
+few bisections, in O(log n); only a split builds an interval list.  States
+are evaluated on an explicit stack, so deep instances need no deep Python
+recursion and no change to the interpreter's recursion limit.
 
 The baseline solver picks one pivot per chain of the chain decomposition.
 It always yields a valid VED-set but is not always minimum;
@@ -79,8 +82,9 @@ _Witness = tuple[tuple[str, int], "_Witness"] | None
 class _Component:
     """One connected piece of the recursion and the tables its states read.
 
-    A state ``(floor, start)`` stands for the intervals with left end > floor
-    and right end >= start.  ``entries`` are the piece's intervals, sorted,
+    A state ``(start, k)`` stands for ``members[k:]`` of ``front(start)`` (the
+    intervals containing start, from index k on) plus every interval starting
+    after start.  ``entries`` are the piece's intervals, sorted,
     none starting before ``ylo``, together covering [ylo, yhi]; ``lefts``
     holds their left ends.  Built once, in O(n):
 
@@ -92,8 +96,9 @@ class _Component:
 
     ``fronts[s]``, built the first time start s is visited, holds the
     intervals containing s in ``entries`` order, their left ends, and the
-    suffix minima and maxima of their (right, x).  ``memo`` maps a state to
-    its (count, witness).
+    suffix minima and maxima of their (right, x); a request (floor, start)
+    is the state (start, k) with k the number of those left ends <= floor.
+    ``memo`` maps a state (start, k) to its (count, witness).
     """
 
     __slots__ = ("entries", "lefts", "ylo", "yhi", "sufmin", "cut", "fronts", "memo")
@@ -133,11 +138,13 @@ _Request = tuple[_Component, int, int]  # (component, start, floor)
 def _evaluate(
     comp: _Component,
     start: int,
-    floor: int,
+    front: tuple,
+    k: int,
     yname: Callable[[int], str],
     trace: list[TraceStep],
 ) -> Generator[_Request, tuple[int, _Witness], tuple[int, _Witness]]:
-    """Count and witness of one state, read off ``comp``'s tables.
+    """Count and witness of state ``(start, k)``, read off ``comp``'s tables;
+    ``front`` is ``comp.front(start)``.
 
     Yields each child state it needs as (component, start, floor) and is sent
     back that state's (count, witness); appends its own trace step last.
@@ -145,8 +152,7 @@ def _evaluate(
     entries, lefts, sufmin = comp.entries, comp.lefts, comp.sufmin
     n = len(entries)
     b = bisect_right(lefts, start)  # entries[b:] start after `start`
-    members, front_lefts, low, high = comp.front(start)
-    k = bisect_right(front_lefts, floor)  # members[k:] is the state's front
+    members, _, low, high = front  # members[k:] is the state's front
     empty_front = k == len(members)
     if empty_front and b == n:
         return 0, None
@@ -182,7 +188,9 @@ def _evaluate(
     # ending within the pivot's reach) starts after it.
     blanket = min_right
     d = bisect_right(lefts, blanket)
-    count, witness = yield comp, reach + 1, floor
+    # Every front interval ends by `reach`, so past it the intervals left of
+    # `start` are gone and `start` serves as the child's floor.
+    count, witness = yield comp, reach + 1, start
     best_count = 1 + count
     best_wit = (("x", pivot), witness)
     best_branch = "x_pivot"
@@ -205,17 +213,20 @@ def _solve(
     memoize: bool,
 ) -> tuple[int, _Witness]:
     """Evaluate ``root``'s first state on an explicit stack of suspended
-    ``_evaluate`` calls: memo hits are answered at once, misses pushed."""
+    ``_evaluate`` calls: each request is turned into its state (start, k)
+    once; memo hits are answered at once, misses pushed."""
     frames: list[tuple[Generator, dict, tuple[int, int]]] = []
     request: _Request | None = (root, root.ylo, root.ylo - 1)
     reply = None
     while True:
         if request is not None:
             comp, start, floor = request
-            key = (floor, start)
+            front = comp.front(start)
+            k = bisect_right(front[1], floor)
+            key = (start, k)
             reply = comp.memo.get(key) if memoize else None
             if reply is None:
-                frames.append((_evaluate(comp, start, floor, yname, trace), comp.memo, key))
+                frames.append((_evaluate(comp, start, front, k, yname, trace), comp.memo, key))
         gen, memo, key = frames[-1]
         try:
             request = gen.send(reply)

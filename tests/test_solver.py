@@ -321,25 +321,35 @@ def golden_instances():
         yield g, ordered(g)
 
 
-def solve_digest(instances):
+def solve_digest(instances, steps=list):
     """sha256 over one line per instance: the repr of (gamma_ve, sorted
-    witness names, trace steps as plain tuples)."""
+    witness names, ``steps`` of the trace steps as plain tuples)."""
     h = hashlib.sha256()
     for g, ordv in instances:
         r = solve_exact(g, ordv)
-        line = (r.gamma_ve, sorted(v.name() for v in r.witness), [tuple(s) for s in r.trace])
+        line = (r.gamma_ve, sorted(v.name() for v in r.witness), steps(tuple(s) for s in r.trace))
         h.update(repr(line).encode() + b"\n")
     return h.hexdigest()
 
 
+def test_golden_answer_digest():
+    # Counts, witnesses and the set of distinct trace steps, memoisation on.
+    # Pinned with the solver that memoised states by (floor, start); keying
+    # them by the intervals they hold must not move it.
+    assert (
+        solve_digest(golden_instances(), steps=lambda ts: sorted(set(ts)))
+        == "f5e835714c661251e3af0f349080cc4cc074ecfb905df46e44cc32fba4da1237"
+    )
+
+
 def test_golden_trace_digest():
-    # solve_digest(golden_instances()), memoisation on, computed with the
-    # recursive solver whose states each rebuilt their interval list, before
-    # the index-table one replaced it.  Any change to a count, a witness or a
-    # single trace step of these instances (69 of them split) shows here.
+    # solve_digest(golden_instances()), memoisation on: the full ordered
+    # trace, which lists each state (start, k) once (23,692 steps).  Any
+    # change to a count, a witness or a single trace step of these instances
+    # (69 of them split) shows here.
     assert (
         solve_digest(golden_instances())
-        == "fc3ac077dc407159f38325c40792b61b612771c27a6b5e040ac2f092333b65c8"
+        == "d9678a1b19972828fa53fa74721b02d509b9d9562e6b86559ad7edcf17835966"
     )
 
 
@@ -383,3 +393,76 @@ def test_deep_path_leaves_the_recursion_limit_alone():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["300", "1000"]
+
+
+def small_interval_graph(rng):
+    """At most 16 - n2 intervals on 6 <= n2 <= 9, mostly one or two positions
+    long, some seven, under a random Y labelling: n <= 16, and a Y blanket
+    that drops a long interval can leave a nested split."""
+    n2 = rng.randint(6, 9)
+    lefts = [rng.randint(1, n2) for _ in range(rng.randint(1, 16 - n2))]
+    spans = [(a, min(n2, a + rng.choice((0, 0, 0, 1, 6)))) for a in lefts]
+    edges = [(i, j) for i, (lo, hi) in enumerate(spans, start=1) for j in range(lo, hi + 1)]
+    return relabel_y(build_graph(len(spans), n2, edges), rng)
+
+
+def test_memoised_trace_is_the_unmemoised_one_without_repeats():
+    # Each state is evaluated once and gives what memoize=False gives for it:
+    # the same answer, and a trace that only drops repeated steps.  Draw
+    # until 30 instances have a nested split (about 2 in 100 draws).
+    rng = random.Random(139)
+    split_seen = 0
+    for _ in range(10000):
+        g, sigma = small_interval_graph(rng)
+        ordv = compute_lex_convex_ordering(g, sigma)
+        r = solve_exact(g, ordv)
+        plain = solve_exact(g, ordv, memoize=False)
+        assert (r.gamma_ve, r.witness) == (plain.gamma_ve, plain.witness)
+        rest = iter(plain.trace)
+        assert all(step in rest for step in r.trace)
+        assert set(r.trace) == set(plain.trace)
+        split_seen += any(step.branch == "split" for step in r.trace)
+        if split_seen == 30:
+            break
+    assert split_seen == 30
+
+
+def test_sparse_trace_length_is_linear():
+    # Count-based growth check on the deep sparse families: one trace step
+    # per distinct state, at most 2 * n2 of them.  Paths also check
+    # gamma_ve(P_k) = (k+2)//4.
+    rng = random.Random(137)
+    for n in (100, 200, 400, 800):
+        g = path_graph(2 * n)
+        r = solve_exact(g, ordered(g))
+        assert r.gamma_ve == (2 * n + 2) // 4
+        assert len(r.trace) <= 2 * g.n2
+    for n1 in (110, 220, 440, 880):
+        g = chain_graph(n1, rng)
+        assert len(solve_exact(g, ordered(g)).trace) <= 2 * g.n2
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_instances(), interval_instances())
+def test_gamma_of_disjoint_union_is_the_sum(first, second):
+    (a, _, sigma_a), (b, _, sigma_b) = first, second
+    union = build_graph(
+        a.n1 + b.n1,
+        a.n2 + b.n2,
+        list(a.edges()) + [(i + a.n1, j + a.n2) for i, j in b.edges()],
+    )
+    sigma = sigma_a + tuple(j + a.n2 for j in sigma_b)  # b's Y after a's
+    assert solve_exact(union, compute_lex_convex_ordering(union, sigma)).gamma_ve == (
+        solve_exact(a, compute_lex_convex_ordering(a, sigma_a)).gamma_ve
+        + solve_exact(b, compute_lex_convex_ordering(b, sigma_b)).gamma_ve
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_instances())
+def test_universal_x_vertex_gives_gamma_one(case):
+    g, _, sigma = case
+    edges = list(g.edges()) + [(g.n1 + 1, j) for j in range(1, g.n2 + 1)]
+    universal = build_graph(g.n1 + 1, g.n2, edges)
+    r = solve_exact(universal, compute_lex_convex_ordering(universal, sigma))
+    assert r.gamma_ve == 1
