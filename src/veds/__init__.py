@@ -39,7 +39,6 @@ from .io import (
     load_set_system,
     parse_graph_text,
     parse_set_system_text,
-    save_graph,
 )
 from .oracle import (
     CrossCheckReport,

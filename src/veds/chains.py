@@ -1,14 +1,18 @@
-"""Chain decomposition of a connected convex bipartite graph.
+"""Chain decomposition of a connected convex bipartite graph, and the
+interval tables it shares with the exact solver.
 
 The decomposition repeatedly peels a chain subgraph off the front of the
 ordering: take the first remaining Y-position, its neighbourhood, and the
 neighbourhood of its farthest-reaching neighbour; remove them; collect the
 X vertices stranded (isolated) by the removal; repeat.  When the remainder is
-itself a chain graph it is emitted whole as the final chain.
+itself a chain graph it is emitted whole as the final chain.  Each peel is
+one ``x_pivot`` step of the exact solver, read off the same ``_Component``
+tables.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,18 +84,58 @@ def _coverage_runs(entries: Sequence[Interval]) -> list[tuple[list[Interval], in
     return runs
 
 
-def _is_connected(ordering: LexConvexOrdering) -> bool:
-    """Connectivity read off the intervals: one run covering every Y
-    position and no isolated X vertex, or at most one vertex in all."""
-    g = ordering.graph
-    if g.n <= 1:
-        return True
-    runs = _coverage_runs(ordering.intervals)
-    return (
-        len(ordering.intervals) == g.n1
-        and len(runs) == 1
-        and runs[0][1:] == (1, g.n2)
-    )
+class _Component:
+    """One connected piece of intervals and the tables its states read,
+    shared by the exact solver and ``decompose``.
+
+    A state ``(start, k)`` stands for ``members[k:]`` of ``front(start)`` (the
+    intervals containing start, from index k on) plus every interval starting
+    after start.  ``entries`` are the piece's intervals, sorted,
+    none starting before ``ylo``, together covering [ylo, yhi]; ``lefts``
+    holds their left ends.  Built once, in O(n):
+
+    - ``sufmin[i]``: the least right end in ``entries[i:]``;
+    - ``cut[i]``: the largest boundary q <= yhi - 1 (between positions q and
+      q + 1) that no interval of ``entries[i:]`` spans with left <= q < right.
+      Intervals join only by overlap, so a boundary, not a position, is what
+      separates two runs.
+
+    ``fronts[s]``, built the first time start s is visited, holds the
+    intervals containing s in ``entries`` order, their left ends, and the
+    suffix minima and maxima of their (right, x); a request (floor, start)
+    is the state (start, k) with k the number of those left ends <= floor.
+    ``memo`` maps a state (start, k) to the solver's (count, witness).
+    """
+
+    __slots__ = ("entries", "lefts", "ylo", "yhi", "sufmin", "cut", "fronts", "memo")
+
+    def __init__(self, entries: list[Interval], ylo: int, yhi: int) -> None:
+        n = len(entries)
+        sufmin = [yhi + 1] * (n + 1)
+        cut = [yhi - 1] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            left, right, _ = entries[i]
+            sufmin[i] = min(right, sufmin[i + 1])
+            q = cut[i + 1]
+            cut[i] = left - 1 if left <= q < right else q
+        self.entries = entries
+        self.lefts = [e[0] for e in entries]
+        self.ylo, self.yhi = ylo, yhi
+        self.sufmin, self.cut = sufmin, cut
+        self.fronts: dict[int, tuple] = {}
+        self.memo: dict[tuple[int, int], tuple] = {}
+
+    def front(self, start: int) -> tuple:
+        table = self.fronts.get(start)
+        if table is None:
+            members = [e for e in self.entries[: bisect_right(self.lefts, start)] if e[1] >= start]
+            low = [(e[1], e[2]) for e in members]
+            high = low[:]
+            for k in range(len(low) - 2, -1, -1):
+                low[k] = min(low[k], low[k + 1])
+                high[k] = max(high[k], high[k + 1])
+            table = self.fronts[start] = (members, [e[0] for e in members], low, high)
+        return table
 
 
 def _nested(entries: list[Interval]) -> bool:
@@ -100,40 +144,22 @@ def _nested(entries: list[Interval]) -> bool:
     return all(seq[k][1] >= seq[k + 1][1] for k in range(len(seq) - 1))
 
 
-def _peel(
-    entries: list[Interval],
-) -> tuple[list[Interval], list[Interval], list[Interval]]:
-    """Split clipped, sorted, non-empty entries at the first chain.
-
-    The start is the first entry's left end.  ``front`` holds the intervals
-    containing the start, its last one the pivot (farthest reach, then
-    largest index); ``stranded`` the later intervals ending within the
-    pivot's reach; ``future`` the rest, clipped to reach + 1 and sorted.
-    Every front interval ends at or before the reach, so none is kept.
-    """
-    start = entries[0][0]
-    k = 1
-    while k < len(entries) and entries[k][0] <= start:
-        k += 1
-    reach = entries[k - 1][1]
-    after = reach + 1
-    rest = entries[k:]
-    stranded = [e for e in rest if e[1] <= reach]
-    future = sorted(e if e[0] > after else (after, e[1], e[2]) for e in rest if e[1] > reach)
-    return entries[:k], stranded, future
-
-
 def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposition:
     """Peel chains off a connected convex bipartite graph.
 
     All reasoning happens on ordering positions; the reported sets carry
-    original vertex indices.  Each peel starts one past the previous chain's
-    reach, and the last reach is the final Y position.
+    original vertex indices.  The peels are the exact solver's ``x_pivot``
+    walk from the first Y position: each starts one past the previous
+    chain's reach, and the last reach is the final Y position.
     """
     ensure_valid_lex_ordering(g, ordering)
-    if not _is_connected(ordering):
+    comp = _Component(list(ordering.intervals), 1, g.n2)
+    entries, lefts = comp.entries, comp.lefts
+    # Connected: at most one vertex, or no isolated X vertex and an interval
+    # spanning every boundary between two Y positions (cut[0] below 1).
+    if g.n > 1 and not (len(entries) == g.n1 and comp.cut[0] < 1):
         raise ContractError("decompose requires a connected graph; split components first")
-    if not ordering.intervals:
+    if not entries:
         # No edges: a connected graph this small is a single vertex.
         tail = frozenset(g.vertices())
         return ChainDecomposition((), (), (), tail, ordering)
@@ -141,22 +167,28 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
     chains: list[tuple[frozenset[int], frozenset[int]]] = []
     strands: list[frozenset[int]] = []
     pivots: list[int] = []
-    remaining = list(ordering.intervals)
-    while remaining:
-        front, stranded, remaining = _peel(remaining)
-        start, reach, pivot = front[-1]
-        y_block = frozenset(ordering.yperm[p - 1] for p in range(start, reach + 1))
-        pivots.append(pivot)
+    start = 1
+    while start <= g.n2:
+        # Every interval containing `start` starts after the previous start:
+        # one containing both would have been in the previous front, whose
+        # farthest reach is start - 1.  So the whole front is this chain's.
+        front, _, low, high = comp.front(start)
+        reach, pivot = high[0]
+        b = bisect_right(lefts, start)
+        stranded = [e for e in entries[b : bisect_right(lefts, reach)] if e[1] <= reach]
         whole_is_chain = (
-            not remaining
+            reach == g.n2
             and stranded
             and _nested(stranded)
-            and max(e[1] for e in stranded) <= min(e[1] for e in front)
+            and max(e[1] for e in stranded) <= low[0][0]
         )
         if whole_is_chain:
             front, stranded = front + stranded, []
+        y_block = frozenset(ordering.yperm[p - 1] for p in range(start, reach + 1))
         chains.append((frozenset(e[2] for e in front), y_block))
         strands.append(frozenset(e[2] for e in stranded))
+        pivots.append(pivot)
+        start = reach + 1
     return ChainDecomposition(
         tuple(chains), tuple(strands), tuple(pivots), frozenset(), ordering
     )

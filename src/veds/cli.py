@@ -135,27 +135,34 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_order(args: argparse.Namespace) -> int:
     g, ordering = _ordering_for(args.file)
+    # Isolated X vertices carry no interval and are listed first.
+    isolated = [i for i, nb in enumerate(g.adj_x, start=1) if not nb]
+    blank = [None] * len(isolated)
+    xperm = isolated + [x for _, _, x in ordering.intervals]
+    left_x = blank + [left for left, _, _ in ordering.intervals]
+    right_x = blank + [right for _, right, _ in ordering.intervals]
+    # Per Y position, the least and greatest X position among its neighbours.
+    xpos = {i: p for p, i in enumerate(xperm, start=1)}
+    hoods = [[xpos[i] for i in g.neighbors_y(j)] for j in ordering.yperm]
+    left_y = [min(ps, default=None) for ps in hoods]
+    right_y = [max(ps, default=None) for ps in hoods]
     if args.json:
         print(json.dumps({
-            "xperm": list(ordering.xperm),
+            "xperm": xperm,
             "yperm": list(ordering.yperm),
-            "left_x": list(ordering.left_x),
-            "right_x": list(ordering.right_x),
-            "left_y": list(ordering.left_y),
-            "right_y": list(ordering.right_y),
+            "left_x": left_x,
+            "right_x": right_x,
+            "left_y": left_y,
+            "right_y": right_y,
         }))
         return 0
-    print("xperm: " + " ".join(f"x{i}" for i in ordering.xperm))
+    print("xperm: " + " ".join(f"x{i}" for i in xperm))
     print("yperm: " + " ".join(f"y{j}" for j in ordering.yperm))
     print(f"{'pos':>4} {'x':>6} {'left':>5} {'right':>6}")
-    for p, i in enumerate(ordering.xperm, start=1):
-        left = ordering.left_x[p - 1]
-        right = ordering.right_x[p - 1]
+    for p, (i, left, right) in enumerate(zip(xperm, left_x, right_x), start=1):
         print(f"{p:>4} {'x' + str(i):>6} {left if left else '-':>5} {right if right else '-':>6}")
     print(f"{'pos':>4} {'y':>6} {'left':>5} {'right':>6}")
-    for p, j in enumerate(ordering.yperm, start=1):
-        left = ordering.left_y[p - 1]
-        right = ordering.right_y[p - 1]
+    for p, (j, left, right) in enumerate(zip(ordering.yperm, left_y, right_y), start=1):
         print(f"{p:>4} {'y' + str(j):>6} {left if left else '-':>5} {right if right else '-':>6}")
     return 0
 
@@ -205,14 +212,21 @@ def _format_certificate(art) -> str:
     return f"tree comb backbone={backbone} teeth={teeth}\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_reduce(args: argparse.Namespace) -> int:
     ss = load_set_system(args.file)
     art = reduce_star_convex(ss) if args.target == "star" else reduce_comb_convex(ss)
     text = format_graph_text(art.graph)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
         if args.certify:
-            Path(args.out + ".cert").write_text(_format_certificate(art), encoding="utf-8")
+            _write_text(args.out + ".cert", _format_certificate(art))
     else:
         print(text, end="")
         if args.certify:

@@ -26,7 +26,6 @@ __all__ = [
     "parse_graph_text",
     "format_graph_text",
     "load_graph",
-    "save_graph",
     "parse_set_system_text",
     "format_set_system_text",
     "load_set_system",
@@ -101,16 +100,15 @@ def format_graph_text(g: BipartiteGraph, yorder: tuple[int, ...] | None = None) 
     return "\n".join(lines) + "\n"
 
 
-def load_graph(path: str | Path) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_graph_text(text)
 
 
-def save_graph(path: str | Path, g: BipartiteGraph, yorder: tuple[int, ...] | None = None) -> None:
-    Path(path).write_text(format_graph_text(g, yorder), encoding="utf-8")
+def load_graph(path: str | Path) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
+    return parse_graph_text(_read_text(path))
 
 
 def parse_set_system_text(text: str) -> SetSystem:
@@ -162,8 +160,4 @@ def format_set_system_text(ss: SetSystem) -> str:
 
 
 def load_set_system(path: str | Path) -> SetSystem:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_set_system_text(text)
+    return parse_set_system_text(_read_text(path))

@@ -10,7 +10,6 @@ the combined structure is what the solver and decomposition consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations
 from typing import NamedTuple, Sequence
 
@@ -87,23 +86,16 @@ class LexConvexOrdering:
     the graph it was built from.
 
     Only ``graph`` and ``yperm`` are inputs.  Construction checks convexity
-    (InputError on a gap) and derives every other field in the same pass, so
+    (InputError on a gap) and derives the other fields in the same pass, so
     an ordering always agrees with its graph.
 
     ``intervals`` lists ``(left, right, x)`` Y-position intervals of the
-    non-isolated X vertices in lexicographic order.  ``left_x[k]`` /
-    ``right_x[k]`` give the interval of the x vertex at position k+1 (None
-    for isolated vertices, which sit at the front of xperm).  ``left_y`` /
-    ``right_y`` give, for each Y-position, the minimum and maximum
-    X-positions among its neighbours; they are computed when first read, and
-    no contiguity is implied on the X side.
+    non-isolated X vertices in lexicographic order; it is all the solvers
+    and the decomposition read.  ``y_position(j)`` is the position of y_j.
     """
 
     graph: BipartiteGraph = field(repr=False)
     yperm: tuple[int, ...]
-    xperm: tuple[int, ...] = field(init=False, compare=False)
-    left_x: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
-    right_x: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
     intervals: tuple[Interval, ...] = field(init=False, repr=False, compare=False)
     _ypos: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -117,43 +109,19 @@ class LexConvexOrdering:
                 f"at position {check.gap_position}"
             )
         found.sort()
-        isolated = tuple(i for i, nb in enumerate(g.adj_x, start=1) if not nb)
-        blank = (None,) * len(isolated)
-        derived = {
-            "yperm": tuple(self.yperm),
-            "xperm": isolated + tuple(e[2] for e in found),
-            "left_x": blank + tuple(e[0] for e in found),
-            "right_x": blank + tuple(e[1] for e in found),
-            "intervals": tuple(found),
-            "_ypos": tuple(ypos),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "yperm", tuple(self.yperm))
+        object.__setattr__(self, "intervals", tuple(found))
+        object.__setattr__(self, "_ypos", tuple(ypos))
 
     def y_position(self, j: int) -> int:
         return self._ypos[j]
-
-    @cached_property
-    def left_y(self) -> tuple[int | None, ...]:
-        return self._x_ends(min)
-
-    @cached_property
-    def right_y(self) -> tuple[int | None, ...]:
-        return self._x_ends(max)
-
-    def _x_ends(self, pick) -> tuple[int | None, ...]:
-        xpos = {i: p for p, i in enumerate(self.xperm, start=1)}
-        return tuple(
-            pick((xpos[i] for i in self.graph.neighbors_y(j)), default=None)
-            for j in self.yperm
-        )
 
 
 def compute_lex_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> LexConvexOrdering:
     """Validate yperm and sort X by (left, right), ties by original index.
 
-    Isolated x vertices carry no interval and are placed at the front.  Runs
-    in O(m + n1 log n1).
+    Isolated x vertices carry no interval and are left out of
+    ``intervals``.  Runs in O(m + n1 log n1).
     """
     return LexConvexOrdering(g, yperm)
 

@@ -14,10 +14,11 @@ intervals with left end > floor and right end >= start.  Those are the
 sorted intervals containing start from index k on, plus every interval
 starting after start, so the pair (start, k) names the state and keys the
 memo; floors that keep the same intervals share one state and one trace step.
-Each state is read off the piece's index tables (see ``_Component``) with a
-few bisections, in O(log n); only a split builds an interval list.  States
-are evaluated on an explicit stack, so deep instances need no deep Python
-recursion and no change to the interpreter's recursion limit.
+Each state is read off the piece's index tables (``chains._Component``,
+whose x_pivot walk is also ``decompose``) with a few bisections, in
+O(log n); only a split builds an interval list.  States are evaluated on an
+explicit stack, so deep instances need no deep Python recursion and no
+change to the interpreter's recursion limit.
 
 The baseline solver picks one pivot per chain of the chain decomposition.
 It always yields a valid VED-set but is not always minimum;
@@ -31,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Generator, NamedTuple
 
-from .chains import _coverage_runs, decompose
+from .chains import _Component, _coverage_runs, decompose
 from .errors import ContractError
 from .graph import (
     BipartiteGraph,
@@ -41,7 +42,7 @@ from .graph import (
     xref,
     yref,
 )
-from .ordering import Interval, LexConvexOrdering, ensure_valid_lex_ordering
+from .ordering import LexConvexOrdering, ensure_valid_lex_ordering
 
 __all__ = [
     "TraceStep",
@@ -77,59 +78,6 @@ def counterexample_graph() -> BipartiteGraph:
 # A witness is a cons list of ("x", index) / ("y", position) items, flattened
 # once by solve_exact.
 _Witness = tuple[tuple[str, int], "_Witness"] | None
-
-
-class _Component:
-    """One connected piece of the recursion and the tables its states read.
-
-    A state ``(start, k)`` stands for ``members[k:]`` of ``front(start)`` (the
-    intervals containing start, from index k on) plus every interval starting
-    after start.  ``entries`` are the piece's intervals, sorted,
-    none starting before ``ylo``, together covering [ylo, yhi]; ``lefts``
-    holds their left ends.  Built once, in O(n):
-
-    - ``sufmin[i]``: the least right end in ``entries[i:]``;
-    - ``cut[i]``: the largest boundary q <= yhi - 1 (between positions q and
-      q + 1) that no interval of ``entries[i:]`` spans with left <= q < right.
-      Intervals join only by overlap, so a boundary, not a position, is what
-      separates two runs.
-
-    ``fronts[s]``, built the first time start s is visited, holds the
-    intervals containing s in ``entries`` order, their left ends, and the
-    suffix minima and maxima of their (right, x); a request (floor, start)
-    is the state (start, k) with k the number of those left ends <= floor.
-    ``memo`` maps a state (start, k) to its (count, witness).
-    """
-
-    __slots__ = ("entries", "lefts", "ylo", "yhi", "sufmin", "cut", "fronts", "memo")
-
-    def __init__(self, entries: list[Interval], ylo: int, yhi: int) -> None:
-        n = len(entries)
-        sufmin = [yhi + 1] * (n + 1)
-        cut = [yhi - 1] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            left, right, _ = entries[i]
-            sufmin[i] = min(right, sufmin[i + 1])
-            q = cut[i + 1]
-            cut[i] = left - 1 if left <= q < right else q
-        self.entries = entries
-        self.lefts = [e[0] for e in entries]
-        self.ylo, self.yhi = ylo, yhi
-        self.sufmin, self.cut = sufmin, cut
-        self.fronts: dict[int, tuple] = {}
-        self.memo: dict[tuple[int, int], tuple[int, _Witness]] = {}
-
-    def front(self, start: int) -> tuple:
-        table = self.fronts.get(start)
-        if table is None:
-            members = [e for e in self.entries[: bisect_right(self.lefts, start)] if e[1] >= start]
-            low = [(e[1], e[2]) for e in members]
-            high = low[:]
-            for k in range(len(low) - 2, -1, -1):
-                low[k] = min(low[k], low[k + 1])
-                high[k] = max(high[k], high[k + 1])
-            table = self.fronts[start] = (members, [e[0] for e in members], low, high)
-        return table
 
 
 _Request = tuple[_Component, int, int]  # (component, start, floor)

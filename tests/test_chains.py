@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from veds import (
 )
 
 from conftest import complete, ordered, random_convex_instance, relabel_y
+from test_solver import chain_graph, golden_instances, path_graph
 
 
 def test_decompose_counterexample(counterexample):
@@ -159,3 +161,38 @@ def test_random_decompositions_partition_and_verify():
             assert is_chain_graph(sub)
         assert not d.tail_isolated  # connected inputs strand nothing
         assert verify_decomposition_lemma(g, d).passed
+
+
+def decomposition_instances():
+    """The connected golden instances of the solver tests, Y-relabelled
+    short-interval chains with n1 = 100..2000, and the paths P_100..P_2000."""
+    for g, ordv in golden_instances():
+        if len(connected_components(g)) == 1:
+            yield g, ordv
+    rng = random.Random(2513)
+    for n1 in range(100, 2001, 100):
+        g, sigma = relabel_y(chain_graph(n1, rng), rng)
+        yield g, compute_lex_convex_ordering(g, sigma)
+    for n in range(50, 1001, 50):
+        g = path_graph(2 * n)
+        yield g, ordered(g)
+
+
+def test_decomposition_digest():
+    # sha256 over one line per instance (700 of them, 22,179 chains): the
+    # repr of (chains, isolated sets, pivots), sets as sorted lists.  Pinned
+    # with the decompose that peeled by filtering and re-sorting the
+    # remainder; any change to a chain, a strand or a pivot of these deep or
+    # relabelled instances shows here.
+    h = hashlib.sha256()
+    for g, ordv in decomposition_instances():
+        d = decompose(g, ordv)
+        line = (
+            [(sorted(hx), sorted(hy)) for hx, hy in d.chains],
+            [sorted(js) for js in d.isolated_sets],
+            list(d.pivots),
+        )
+        h.update(repr(line).encode() + b"\n")
+    assert h.hexdigest() == (
+        "2070a8c49fdd9a28daf00739a7feecec87500852922d2347cef0f78b98ce0aaa"
+    )

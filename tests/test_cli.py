@@ -61,6 +61,20 @@ def test_solve_missing_file_exits_2(capsys):
     assert "error:" in err
 
 
+def test_solve_undecodable_graph_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cbg"
+    path.write_bytes(b"graph 1 1\nedge 1 1\n\xff\n")
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 2 and "cannot read" in err
+
+
+def test_reduce_undecodable_set_system_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.scp"
+    path.write_bytes(SCP.encode() + b"\xff\n")
+    code, _, err = run(capsys, "reduce", str(path), "--target", "star")
+    assert code == 2 and "cannot read" in err
+
+
 def test_solve_without_yorder_uses_search(tmp_path, capsys):
     path = tmp_path / "g.cbg"
     path.write_text("graph 1 1\nedge 1 1\n")
@@ -131,6 +145,20 @@ def test_reduce_writes_files(scp, tmp_path, capsys):
     # The emitted graph is a valid instance for the brute-force oracle.
     code, out, _ = run(capsys, "oracle", "ve", str(out_path))
     assert code == 0 and "gamma_ve = 3" in out
+
+
+def test_reduce_unwritable_out_exits_2(scp, tmp_path, capsys):
+    # A missing directory, and a directory where the file should go.
+    for out_path in (tmp_path / "missing" / "x.cbg", tmp_path):
+        code, _, err = run(capsys, "reduce", scp, "--target", "star", "--out", str(out_path))
+        assert code == 2 and f"cannot write {out_path}" in err
+    # The graph file is writable but its certificate's path is a directory.
+    (tmp_path / "g.cbg.cert").mkdir()
+    out_path = tmp_path / "g.cbg"
+    code, _, err = run(
+        capsys, "reduce", scp, "--target", "star", "--out", str(out_path), "--certify"
+    )
+    assert code == 2 and f"cannot write {out_path}.cert" in err
 
 
 def test_reduce_comb_to_stdout(scp, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,12 +9,22 @@ from veds import (
     build_graph,
     compute_lex_convex_ordering,
     find_convex_ordering_exhaustive,
+    format_graph_text,
     identity_permutation,
     validate_convex_ordering,
 )
+from veds.cli import main
 from veds.ordering import ensure_valid_lex_ordering
 
 from conftest import random_convex_instance, relabel_y
+
+
+def order_json(g, yperm, tmp_path, capsys):
+    """The ``veds order --json`` payload of g under yperm."""
+    path = tmp_path / "g.cbg"
+    path.write_text(format_graph_text(g, yperm))
+    assert main(["order", str(path), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 def hexagon():
@@ -47,22 +58,19 @@ def test_validate_rejects_malformed_permutation(counterexample):
 
 def test_lex_ordering_counterexample(counterexample):
     ordv = compute_lex_convex_ordering(counterexample, (1, 2, 3))
-    assert ordv.xperm == (1, 2, 3)
-    assert list(zip(ordv.left_x, ordv.right_x)) == [(1, 2), (2, 2), (2, 3)]
+    assert ordv.intervals == ((1, 2, 1), (2, 2, 2), (2, 3, 3))
 
 
 def test_lex_ordering_p8(p8):
     ordv = compute_lex_convex_ordering(p8, (1, 2, 3, 4))
-    assert ordv.xperm == (1, 2, 3, 4)
-    assert list(zip(ordv.left_x, ordv.right_x)) == [(1, 1), (1, 2), (2, 3), (3, 4)]
+    assert ordv.intervals == ((1, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4))
 
 
 def test_lex_ordering_star():
     q = 5
     g = build_graph(1, q, [(1, j) for j in range(1, q + 1)])
     ordv = compute_lex_convex_ordering(g, identity_permutation(q))
-    assert ordv.xperm == (1,)
-    assert (ordv.left_x[0], ordv.right_x[0]) == (1, q)
+    assert ordv.intervals == ((1, q, 1),)
 
 
 def test_lex_ordering_rejects_nonconvex_yperm():
@@ -70,12 +78,14 @@ def test_lex_ordering_rejects_nonconvex_yperm():
         compute_lex_convex_ordering(hexagon(), (1, 2, 3))
 
 
-def test_lex_ordering_isolated_x_goes_first():
+def test_lex_ordering_isolated_x_goes_first(tmp_path, capsys):
     g = build_graph(3, 2, [(2, 1), (3, 1), (3, 2)])
     ordv = compute_lex_convex_ordering(g, (1, 2))
-    assert ordv.xperm == (1, 2, 3)
-    assert ordv.left_x[0] is None and ordv.right_x[0] is None
+    assert ordv.intervals == ((1, 1, 2), (1, 2, 3))
     ensure_valid_lex_ordering(g, ordv)
+    payload = order_json(g, (1, 2), tmp_path, capsys)
+    assert payload["xperm"] == [1, 2, 3]
+    assert payload["left_x"][0] is None and payload["right_x"][0] is None
 
 
 def test_lex_matches_comparison_sort_reference():
@@ -89,22 +99,20 @@ def test_lex_matches_comparison_sort_reference():
             ps = [ypos[j] for j in nb]
             keys[i] = (min(ps), max(ps), i) if ps else (0, 0, i)
         reference = tuple(sorted(range(1, g.n1 + 1), key=keys.__getitem__))
-        assert ordv.xperm == reference
+        # Isolated X vertices (key (0, 0, i)) sort first and carry no interval.
+        lex = tuple(i for i in reference if g.neighbors_x(i))
+        assert tuple(e[2] for e in ordv.intervals) == lex
 
 
-def test_interval_consistency_and_totality():
+def test_interval_consistency_and_totality(tmp_path, capsys):
     rng = random.Random(13)
     for _ in range(120):
         g, yperm = relabel_y(random_convex_instance(rng)[0], rng)
         ordv = compute_lex_convex_ordering(g, yperm)
         ypos = {j: p for p, j in enumerate(yperm, start=1)}
-        for p, i in enumerate(ordv.xperm, start=1):
+        for lo, hi, i in ordv.intervals:
             positions = sorted(ypos[j] for j in g.neighbors_x(i))
-            lo, hi = ordv.left_x[p - 1], ordv.right_x[p - 1]
-            if not positions:
-                assert lo is None and hi is None
-            else:
-                assert positions == list(range(lo, hi + 1))
+            assert positions == list(range(lo, hi + 1))
         # The shared interval list is (min, max, x) from adjacency, in lex order.
         expected = sorted(
             (min(ypos[j] for j in nb), max(ypos[j] for j in nb), i)
@@ -113,19 +121,40 @@ def test_interval_consistency_and_totality():
         )
         assert list(ordv.intervals) == expected
         # Adjacent-pair lexicographic check agrees with the full pairwise one.
-        keys = [(ordv.left_x[k] or 0, ordv.right_x[k] or 0) for k in range(g.n1)]
-        adjacent = all(keys[k] <= keys[k + 1] for k in range(g.n1 - 1))
+        keys = [e[:2] for e in ordv.intervals]
+        adjacent = all(keys[k] <= keys[k + 1] for k in range(len(keys) - 1))
         pairwise = all(
-            keys[a] <= keys[b] for a in range(g.n1) for b in range(a + 1, g.n1)
+            keys[a] <= keys[b] for a in range(len(keys)) for b in range(a + 1, len(keys))
         )
         assert adjacent and pairwise
+        # `veds order` tables: X in lex order, isolated first with no ends;
+        # per Y position, the least and greatest X position of a neighbour.
+        payload = order_json(g, yperm, tmp_path, capsys)
+        assert payload["yperm"] == list(yperm)
+        xperm = payload["xperm"]
+        assert xperm == [i for i in range(1, g.n1 + 1) if not g.neighbors_x(i)] + [
+            e[2] for e in ordv.intervals
+        ]
+        for p, i in enumerate(xperm):
+            positions = sorted(ypos[j] for j in g.neighbors_x(i))
+            lo, hi = payload["left_x"][p], payload["right_x"][p]
+            if not positions:
+                assert lo is None and hi is None
+            else:
+                assert positions == list(range(lo, hi + 1))
+        xpos = {i: p for p, i in enumerate(xperm, start=1)}
+        for p, j in enumerate(yperm):
+            ps = [xpos[i] for i in g.neighbors_y(j)]
+            assert payload["left_y"][p] == min(ps, default=None)
+            assert payload["right_y"][p] == max(ps, default=None)
 
 
-def test_permutations_are_bijections():
+def test_permutations_are_bijections(tmp_path, capsys):
     rng = random.Random(17)
     for _ in range(60):
         g, ordv = random_convex_instance(rng)
-        assert sorted(ordv.xperm) == list(range(1, g.n1 + 1))
+        payload = order_json(g, ordv.yperm, tmp_path, capsys)
+        assert sorted(payload["xperm"]) == list(range(1, g.n1 + 1))
         assert sorted(ordv.yperm) == list(range(1, g.n2 + 1))
         for j in ordv.yperm:
             assert ordv.yperm[ordv.y_position(j) - 1] == j
