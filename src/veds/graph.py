@@ -119,19 +119,28 @@ def build_graph(n1: int, n2: int, edges: Iterable[tuple[int, int]]) -> Bipartite
     """
     if n1 < 0 or n2 < 0:
         raise InputError(f"side sizes must be nonnegative, got n1={n1}, n2={n2}")
-    sets_x: list[set[int]] = [set() for _ in range(n1)]
-    sets_y: list[set[int]] = [set() for _ in range(n2)]
+    rows: list[list[int]] = [[] for _ in range(n1)]
     for i, j in edges:
         if not (1 <= i <= n1 and 1 <= j <= n2):
             raise InputError(f"edge ({i}, {j}) out of range for n1={n1}, n2={n2}")
-        sets_x[i - 1].add(j)
-        sets_y[j - 1].add(i)
-    return BipartiteGraph(
-        n1=n1,
-        n2=n2,
-        adj_x=tuple(tuple(sorted(s)) for s in sets_x),
-        adj_y=tuple(tuple(sorted(s)) for s in sets_y),
-    )
+        rows[i - 1].append(j)
+    return _from_rows(n2, rows)
+
+
+def _from_rows(n2: int, rows: list[list[int]]) -> BipartiteGraph:
+    """The graph whose x_i is adjacent to the Y-indices in ``rows[i - 1]``.
+
+    Rows may hold duplicates in any order, but every index must lie in
+    1..n2.  Each row is sorted and deduplicated once; ``adj_y`` is filled by
+    sweeping the sorted rows in X order, so its lists come out ascending
+    without a second sort.
+    """
+    adj_x = tuple(tuple(sorted(set(row))) for row in rows)
+    cols: list[list[int]] = [[] for _ in range(n2)]
+    for i, nb in enumerate(adj_x, start=1):
+        for j in nb:
+            cols[j - 1].append(i)
+    return BipartiteGraph(n1=len(rows), n2=n2, adj_x=adj_x, adj_y=tuple(map(tuple, cols)))
 
 
 def _coverage(g: BipartiteGraph, d: Iterable[VertexRef]) -> tuple[list[bool], list[bool]]:

@@ -10,11 +10,11 @@ the combined structure is what the solver and decomposition consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
-from typing import NamedTuple, Sequence
+from itertools import accumulate, permutations
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError, ContractError, InputError
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, VertexRef
 
 __all__ = [
     "ConvexityCheck",
@@ -115,6 +115,39 @@ class LexConvexOrdering:
 
     def y_position(self, j: int) -> int:
         return self._ypos[j]
+
+    def dominated_by(self, d: Iterable[VertexRef]) -> bool:
+        """True iff d is a VED-set of ``graph``, in O(n1 + n2 + |d|).
+
+        d ve-dominates every edge iff N[d] is a vertex cover.  A Y position
+        is in N[d] when its vertex is in d or an interval of d's X vertices
+        holds it (a difference array).  An X vertex is in N[d] when it is in
+        d, so that N[d] holds its whole interval, or when its interval holds
+        a position of d (a prefix count).  So d fails iff some interval holds
+        no position of d but one outside N[d] (a second prefix count).
+        Vertices of d must lie in the graph; ``graph.is_ve_dominating_set``
+        is the reference check.
+        """
+        xs: set[int] = set()
+        picked = [0] * (self.graph.n2 + 1)  # picked[p]: position p's vertex is in d
+        for v in d:
+            if v.side == "x":
+                xs.add(v.index)
+            else:
+                picked[self._ypos[v.index]] = 1
+        steps = [0] * (self.graph.n2 + 2)  # difference array of d's intervals
+        for left, right, x in self.intervals:
+            if x in xs:
+                steps[left] += 1
+                steps[right + 1] -= 1
+        # hits[p] and free[p] count the positions <= p in d and outside N[d].
+        hits = list(accumulate(picked))
+        depth = accumulate(steps[1:-1])
+        free = list(accumulate((not (k or c) for k, c in zip(picked[1:], depth)), initial=0))
+        return not any(
+            hits[left - 1] == hits[right] and free[left - 1] < free[right]
+            for left, right, _ in self.intervals
+        )
 
 
 def compute_lex_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> LexConvexOrdering:

@@ -34,14 +34,7 @@ from typing import Callable, Generator, NamedTuple
 
 from .chains import _Component, _coverage_runs, decompose
 from .errors import ContractError
-from .graph import (
-    BipartiteGraph,
-    VertexRef,
-    build_graph,
-    is_ve_dominating_set,
-    xref,
-    yref,
-)
+from .graph import BipartiteGraph, VertexRef, build_graph, xref, yref
 from .ordering import LexConvexOrdering, ensure_valid_lex_ordering
 
 __all__ = [
@@ -192,8 +185,9 @@ def solve_exact(
 ) -> SolveResult:
     """Minimum VED-set of a convex bipartite graph under a declared ordering.
 
-    Disconnected graphs split into components (the count is additive); the
-    witness is verified against the edge-domination definition before return.
+    Disconnected graphs split into components (the count is additive).  The
+    witness is checked with ``ordering.dominated_by`` before return, in
+    O(n1 + n2); a failed check raises ContractError, under ``python -O`` too.
     """
     ensure_valid_lex_ordering(g, ordering)
     if not ordering.intervals:
@@ -215,7 +209,8 @@ def solve_exact(
         xref(idx) if side == "x" else yref(ordering.yperm[idx - 1])
         for side, idx in picked
     )
-    assert len(witness_set) == total and is_ve_dominating_set(g, witness_set)
+    if len(witness_set) != total or not ordering.dominated_by(witness_set):
+        raise ContractError(f"solve_exact built an invalid witness of size {total}")
     return SolveResult(total, witness_set, tuple(trace))
 
 
@@ -223,12 +218,14 @@ def solve_baseline(g: BipartiteGraph, ordering: LexConvexOrdering) -> SolveResul
     """One pivot per chain of ``decompose(g, ordering)``: the
     farthest-reaching neighbour of each chain's first Y vertex.
 
-    The result is always a valid VED-set (verified here) but not always a
-    minimum one; see ``counterexample_graph``.
+    The result is always a valid VED-set (checked here, as in
+    ``solve_exact``) but not always a minimum one; see
+    ``counterexample_graph``.
     """
     decomp = decompose(g, ordering)
     if not ordering.intervals:
         raise ContractError("baseline requires at least one edge")
     witness = frozenset(xref(i) for i in decomp.pivots)
-    assert is_ve_dominating_set(g, witness)
+    if not ordering.dominated_by(witness):
+        raise ContractError("solve_baseline built an invalid witness")
     return SolveResult(len(witness), witness, ())

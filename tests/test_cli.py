@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import veds
 from veds import counterexample_graph, format_graph_text, identity_permutation
 from veds.cli import main
 
@@ -221,3 +226,37 @@ def test_argparse_rejects_unknown_flags(cbg):
     with pytest.raises(SystemExit) as exc:
         main(["solve", cbg, "--frobnicate"])
     assert exc.value.code == 2
+
+
+def fresh_run(argv):
+    """Exit code and stdout of ``main(argv)`` in a new interpreter."""
+    src = str(Path(veds.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys\nfrom veds.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout
+
+
+def test_repeated_main_calls_leak_nothing_between_calls(cbg, capsys):
+    # Callers such as the benchmark make many main() calls in one process.
+    # A rejected call that had already set --algorithm and --emit-set, then
+    # a baseline solve, must leave the plain solve and decompose exactly as
+    # a new interpreter runs them.
+    calls = [
+        ["solve", cbg, "--algorithm", "baseline", "--emit-set", "--bogus"],
+        ["solve", cbg, "--algorithm", "baseline"],
+        ["solve", cbg],
+        ["decompose", cbg, "--json"],
+    ]
+    seen = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        seen.append((code, capsys.readouterr().out))
+    assert [code for code, _ in seen] == [2, 0, 0, 0]
+    assert seen[2][1] == "gamma_ve = 1\n"
+    assert seen == [fresh_run(argv) for argv in calls]

@@ -8,9 +8,11 @@ from veds import (
     InputError,
     build_graph,
     compute_lex_convex_ordering,
+    connected_components,
     find_convex_ordering_exhaustive,
     format_graph_text,
     identity_permutation,
+    is_ve_dominating_set,
     validate_convex_ordering,
 )
 from veds.cli import main
@@ -189,3 +191,45 @@ def test_exhaustive_search_agrees_with_generator():
         found = find_convex_ordering_exhaustive(g)
         assert found is not None
         assert validate_convex_ordering(g, found).ok
+
+
+def interval_graph(rng):
+    """Up to 10 X vertices on up to 10 Y positions, each an interval or, about
+    one time in five, isolated; Y is relabelled in half the draws.  Returns
+    the graph and its convex yperm.  Gaps between intervals and isolated Y
+    vertices make many of the graphs disconnected."""
+    n1, n2 = rng.randint(1, 10), rng.randint(1, 10)
+    edges = []
+    for i in range(1, n1 + 1):
+        if rng.random() < 0.2:
+            continue
+        left = rng.randint(1, n2)
+        right = min(n2, left + rng.choice((0, 0, 1, 2, 4, 9)))
+        edges += [(i, j) for j in range(left, right + 1)]
+    g = build_graph(n1, n2, edges)
+    if rng.random() < 0.5:
+        return relabel_y(g, rng)
+    return g, identity_permutation(n2)
+
+
+def test_dominated_by_agrees_with_the_reference_check():
+    # Each draw checks the empty set, the whole vertex set and five random
+    # subsets of growing density.
+    rng = random.Random(151)
+    verdicts = {True: 0, False: 0}
+    disconnected = isolated_x = 0
+    for _ in range(4000):
+        g, yperm = interval_graph(rng)
+        o = compute_lex_convex_ordering(g, yperm)
+        vertices = list(g.vertices())
+        subsets = [[], vertices] + [
+            [v for v in vertices if rng.random() < p] for p in (0.05, 0.1, 0.2, 0.3, 0.5)
+        ]
+        for d in subsets:
+            want = is_ve_dominating_set(g, d)
+            assert o.dominated_by(d) == want, (format_graph_text(g, yperm), d)
+            verdicts[want] += 1
+        disconnected += len(connected_components(g)) > 1
+        isolated_x += any(not nb for nb in g.adj_x)
+    assert min(verdicts.values()) > 5000
+    assert disconnected > 1000 and isolated_x > 1000

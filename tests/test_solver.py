@@ -395,6 +395,36 @@ def test_deep_path_leaves_the_recursion_limit_alone():
     assert done.stdout.split() == ["300", "1000"]
 
 
+def test_witness_check_survives_python_O():
+    # Under -O the interpreter strips asserts; the solvers' witness check must
+    # still run, and raise when the checker rejects the witness.
+    script = (
+        "from veds import ContractError, counterexample_graph, compute_lex_convex_ordering\n"
+        "from veds import solve_baseline, solve_exact\n"
+        "from veds.ordering import LexConvexOrdering\n"
+        "g = counterexample_graph()\n"
+        "o = compute_lex_convex_ordering(g, (1, 2, 3))\n"
+        "print(__debug__, solve_exact(g, o).gamma_ve, solve_baseline(g, o).gamma_ve)\n"
+        "LexConvexOrdering.dominated_by = lambda self, d: False\n"
+        "for solve in (solve_exact, solve_baseline):\n"
+        "    try:\n"
+        "        solve(g, o)\n"
+        "    except ContractError as exc:\n"
+        "        print(solve.__name__, 'raised:', exc)\n"
+    )
+    src = str(Path(veds.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "False 1 2",
+        "solve_exact raised: solve_exact built an invalid witness of size 1",
+        "solve_baseline raised: solve_baseline built an invalid witness",
+    ]
+
+
 def small_interval_graph(rng):
     """At most 16 - n2 intervals on 6 <= n2 <= 9, mostly one or two positions
     long, some seven, under a random Y labelling: n <= 16, and a Y blanket
