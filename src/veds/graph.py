@@ -100,16 +100,21 @@ class BipartiteGraph:
             yield yref(j)
 
     def check_refs(self, refs: Iterable[VertexRef]) -> None:
-        """Raise InputError if any reference falls outside this graph."""
-        for v in refs:
-            if v.side == "x":
-                if not 1 <= v.index <= self.n1:
-                    raise InputError(f"vertex {v.name()} out of range (n1={self.n1})")
-            elif v.side == "y":
-                if not 1 <= v.index <= self.n2:
-                    raise InputError(f"vertex {v.name()} out of range (n2={self.n2})")
-            else:
-                raise InputError(f"invalid vertex side {v.side!r}")
+        """Raise InputError if any reference falls outside this graph.
+
+        The error names the least offending reference, x side before y,
+        then by index, so it does not depend on the iteration order of refs.
+        """
+        sizes = {"x": self.n1, "y": self.n2}
+        bad = [v for v in refs if not 1 <= v.index <= sizes.get(v.side, 0)]
+        if not bad:
+            return
+        v = min(bad)
+        if v.side == "x":
+            raise InputError(f"vertex {v.name()} out of range (n1={self.n1})")
+        if v.side == "y":
+            raise InputError(f"vertex {v.name()} out of range (n2={self.n2})")
+        raise InputError(f"invalid vertex side {v.side!r}")
 
 
 def build_graph(n1: int, n2: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:

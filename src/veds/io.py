@@ -110,7 +110,9 @@ def parse_graph_text(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]
 
 def format_graph_text(g: BipartiteGraph, yorder: tuple[int, ...] | None = None) -> str:
     lines = [f"graph {g.n1} {g.n2}"]
-    lines.extend(f"edge {i} {j}" for i, j in g.edges())
+    for i, nb in enumerate(g.adj_x, start=1):
+        head = f"edge {i} "
+        lines += [head + str(j) for j in nb]
     if yorder is not None:
         lines.append("yorder " + " ".join(str(j) for j in yorder))
     return "\n".join(lines) + "\n"

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
+from .chains import _coverage_runs
 from .errors import CapacityError, GenerationError, InputError
-from .graph import BipartiteGraph, build_graph, connected_components
+from .graph import BipartiteGraph, build_graph
 from .io import format_graph_text
-from .ordering import compute_lex_convex_ordering, identity_permutation
+from .ordering import Interval, compute_lex_convex_ordering, identity_permutation
 from .reductions import SetSystem
 from .solver import SolveResult, counterexample_graph, solve_baseline, solve_exact
 
@@ -133,22 +134,31 @@ def gen_random_convex_bipartite(cfg: GeneratorConfig) -> BipartiteGraph:
     size).  With ``require_connected`` the instance is rejection-sampled; the
     retry budget exhausting raises a generation error suggesting a higher
     density.
+
+    A draw is decided on its intervals alone: every X vertex has one, so the
+    graph is connected iff the sorted intervals form a single overlap run
+    spanning 1..n2.  That costs O(n1 log n1) per draw; only the accepted
+    draw is built into a graph, in O(n + m).
     """
     if cfg.n1 < 1 or cfg.n2 < 1:
         raise InputError(f"generator needs n1, n2 >= 1 (got {cfg.n1}, {cfg.n2})")
     if not 0.0 < cfg.density <= 1.0:
         raise InputError(f"density must lie in (0, 1], got {cfg.density}")
     rng = random.Random(cfg.seed)
-    mean = cfg.density * cfg.n2
+    n1, n2 = cfg.n1, cfg.n2
+    mean = cfg.density * n2
     for _ in range(GENERATION_RETRIES):
-        edges: list[tuple[int, int]] = []
-        for i in range(1, cfg.n1 + 1):
-            length = min(cfg.n2, _geometric(rng, mean))
-            a = rng.randint(1, cfg.n2 - length + 1)
-            edges.extend((i, j) for j in range(a, a + length))
-        g = build_graph(cfg.n1, cfg.n2, edges)
-        if not cfg.require_connected or len(connected_components(g)) == 1:
-            return g
+        spans: list[Interval] = []
+        for i in range(1, n1 + 1):
+            length = min(n2, _geometric(rng, mean))
+            a = rng.randint(1, n2 - length + 1)
+            spans.append((a, a + length - 1, i))
+        if cfg.require_connected:
+            spans.sort()
+            (_, lo, hi), *rest = _coverage_runs(spans)
+            if rest or (lo, hi) != (1, n2):
+                continue
+        return build_graph(n1, n2, ((i, j) for a, b, i in spans for j in range(a, b + 1)))
     raise GenerationError(
         f"no connected instance after {GENERATION_RETRIES} draws "
         f"(n1={cfg.n1}, n2={cfg.n2}, density={cfg.density}); try a higher density"

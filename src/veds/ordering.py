@@ -10,7 +10,7 @@ the combined structure is what the solver and decomposition consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, permutations
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError, ContractError, InputError
@@ -160,21 +160,49 @@ def compute_lex_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> LexC
 
 
 def find_convex_ordering_exhaustive(g: BipartiteGraph) -> tuple[int, ...] | None:
-    """Search all permutations of Y; return the lexicographically least convex
-    one, or None when the graph is not convex on Y.
+    """Return the lexicographically least convex ordering of Y, or None when
+    the graph is not convex on Y.
 
-    Test oracle only: capped at n2 <= 10; larger graphs must declare an
-    ordering in their input file.
+    A depth-first search places Y vertices position by position, trying
+    them in increasing index order.  An X vertex is open while some but not
+    all of its neighbours are placed; the next vertex placed must be a
+    neighbour of every open one, or that block would be interrupted with
+    neighbours still to place.  The test is exact on prefixes and depends
+    only on the set placed, so a set found to lead nowhere is never expanded
+    again: O(2^n2 (n1 + n2)) time.  Capped at n2 <= 10; larger graphs must
+    declare an ordering in their input file.
     """
     if g.n2 > EXHAUSTIVE_Y_LIMIT:
         raise CapacityError(
             f"exhaustive ordering search is capped at n2={EXHAUSTIVE_Y_LIMIT} "
             f"(got {g.n2}); supply a yorder declaration instead"
         )
-    for perm in permutations(range(1, g.n2 + 1)):
-        if validate_convex_ordering(g, perm).ok:
-            return tuple(perm)
-    return None
+    # Bit j - 1 stands for y_j; a block of one vertex is never open.
+    hoods = [sum(1 << (j - 1) for j in nb) for nb in g.adj_x if len(nb) > 1]
+    full = (1 << g.n2) - 1
+    dead: set[int] = set()
+    perm: list[int] = []
+
+    def extend(placed: int) -> bool:
+        if placed == full:
+            return True
+        if placed in dead:
+            return False
+        allowed = full & ~placed
+        for hood in hoods:
+            if hood & placed and hood & ~placed:
+                allowed &= hood
+        for j in range(1, g.n2 + 1):
+            bit = 1 << (j - 1)
+            if allowed & bit:
+                perm.append(j)
+                if extend(placed | bit):
+                    return True
+                perm.pop()
+        dead.add(placed)
+        return False
+
+    return tuple(perm) if extend(0) else None
 
 
 def ensure_valid_lex_ordering(g: BipartiteGraph, ordering: LexConvexOrdering) -> None:

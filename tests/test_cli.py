@@ -98,11 +98,38 @@ def test_solve_nonconvex_without_yorder_is_input_error(tmp_path, capsys):
     assert "not convex" in err
 
 
+def test_solve_rejects_a_large_nonconvex_file_without_yorder_quickly(tmp_path):
+    # A six-cycle on y1..y3 plus x4 ~ {y4..y10}: the ordering search meets
+    # the six-cycle only after placing the seven-vertex block, and trying
+    # all 10! permutations of Y would take minutes.
+    edges = "".join(
+        f"edge {i} {j}\n"
+        for i, j in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 1)] + [(4, j) for j in range(4, 11)]
+    )
+    path = tmp_path / "nonconvex.cbg"
+    path.write_text("graph 4 10\n" + edges)
+    done = fresh_process(["solve", str(path)], timeout=10)
+    assert done.returncode == 2
+    assert "not convex" in done.stderr
+
+
 def test_verify_valid_and_invalid(cbg, capsys):
     code, out, _ = run(capsys, "verify", cbg, "--set", "y2")
     assert code == 0 and out.strip() == "VALID"
     code, out, _ = run(capsys, "verify", cbg, "--set", "x1, x2")
     assert code == 1 and out.startswith("INVALID")
+
+
+def test_verify_names_the_least_out_of_range_vertex_under_every_hash_seed(tmp_path):
+    # --set is a frozenset of string-hashed refs, so its iteration order
+    # changes with PYTHONHASHSEED; the message must not.
+    path = tmp_path / "empty.cbg"
+    path.write_text("graph 0 0\n")
+    outcomes = set()
+    for seed in range(1, 7):
+        done = fresh_process(["verify", str(path), "--set", "x1,y2"], PYTHONHASHSEED=str(seed))
+        outcomes.add((done.returncode, done.stderr))
+    assert outcomes == {(2, "error: vertex x1 out of range (n1=0)\n")}
 
 
 def test_verify_bad_name_exits_2(cbg, capsys):
@@ -228,14 +255,24 @@ def test_argparse_rejects_unknown_flags(cbg):
     assert exc.value.code == 2
 
 
+def fresh_process(argv, timeout=120, **env):
+    """``main(argv)`` run in a new interpreter with ``env`` added to the
+    environment."""
+    src = str(Path(veds.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        **env,
+    }
+    script = "import sys\nfrom veds.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
 def fresh_run(argv):
     """Exit code and stdout of ``main(argv)`` in a new interpreter."""
-    src = str(Path(veds.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    script = "import sys\nfrom veds.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    done = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    done = fresh_process(argv)
     return done.returncode, done.stdout
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,12 +13,14 @@ from veds import (
     build_graph,
     connected_components,
     cross_check,
+    format_graph_text,
     gen_random_convex_bipartite,
     is_ve_dominating_set,
     validate_convex_ordering,
     xref,
     yref,
 )
+from veds.oracle import GENERATION_RETRIES, _geometric
 
 from conftest import naive_ve_dominates
 
@@ -107,6 +110,86 @@ def test_generator_retry_exhaustion():
     # come out connected with a single x vertex.
     with pytest.raises(GenerationError, match="density"):
         gen_random_convex_bipartite(GeneratorConfig(1, 10, 0.01, 3, require_connected=True))
+
+
+def _pinned_configs():
+    """480 fixed configs: connected on and off, sides up to 300, and
+    densities low enough that 90 of them exhaust the retries."""
+    rng = random.Random(8_2026)
+    configs = []
+    for k in range(480):
+        cap = 300 if k % 24 == 0 else 16
+        n1, n2 = rng.randint(1, cap), rng.randint(1, cap)
+        density = rng.choice(
+            (rng.uniform(0.002, 0.05), rng.uniform(0.05, 0.4), rng.uniform(0.4, 1.0), 1.0)
+        )
+        configs.append(GeneratorConfig(n1, n2, density, rng.getrandbits(32), k % 2 == 0))
+    return configs
+
+
+def test_generator_output_is_pinned():
+    # The digest was taken before connectivity was decided on the drawn
+    # intervals; any change to what a seed yields shows here.
+    digest = hashlib.sha256()
+    errors = 0
+    for cfg in _pinned_configs():
+        try:
+            digest.update(format_graph_text(gen_random_convex_bipartite(cfg)).encode())
+        except GenerationError as exc:
+            errors += 1
+            digest.update(f"GenerationError: {exc}\n".encode())
+    assert errors == 90
+    assert digest.hexdigest() == (
+        "336fc24dcb2d838cabd32799efe9cbee4f81812bfa4dc494721c557ce2fae078"
+    )
+
+
+def _reference_generator(cfg, rejected):
+    """The generator's draw loop with every draw built and its connectivity
+    read off connected_components; notes why each draw was rejected."""
+    rng = random.Random(cfg.seed)
+    mean = cfg.density * cfg.n2
+    for _ in range(GENERATION_RETRIES):
+        edges = []
+        for i in range(1, cfg.n1 + 1):
+            length = min(cfg.n2, _geometric(rng, mean))
+            a = rng.randint(1, cfg.n2 - length + 1)
+            edges.extend((i, j) for j in range(a, a + length))
+        g = build_graph(cfg.n1, cfg.n2, edges)
+        if not cfg.require_connected or len(connected_components(g)) == 1:
+            return g
+        # Disconnected with every Y covered: two intervals touch, such as
+        # [1, 2] and [3, 4], without sharing a Y vertex.
+        rejected.add("touching" if all(g.adj_y) else "uncovered")
+    raise GenerationError(
+        f"no connected instance after {GENERATION_RETRIES} draws "
+        f"(n1={cfg.n1}, n2={cfg.n2}, density={cfg.density}); try a higher density"
+    )
+
+
+def test_generator_matches_build_every_draw_reference():
+    # Every side size from 1 to 6, n1 = 1 and n2 = 1 included.
+    rng = random.Random(2718)
+    rejected = set()
+    outcomes = set()
+    for n1 in range(1, 7):
+        for n2 in range(1, 7):
+            for _ in range(60):
+                cfg = GeneratorConfig(
+                    n1, n2, rng.uniform(0.3, 1.0), rng.getrandbits(32), rng.random() < 0.8
+                )
+                try:
+                    expected = _reference_generator(cfg, rejected)
+                except GenerationError as exc:
+                    with pytest.raises(GenerationError) as got:
+                        gen_random_convex_bipartite(cfg)
+                    assert str(got.value) == str(exc)
+                    outcomes.add("error")
+                else:
+                    assert gen_random_convex_bipartite(cfg) == expected, cfg
+                    outcomes.add("graph")
+    assert rejected == {"touching", "uncovered"}
+    assert outcomes == {"graph", "error"}
 
 
 def test_generator_rejects_bad_config():

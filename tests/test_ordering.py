@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -191,6 +192,35 @@ def test_exhaustive_search_agrees_with_generator():
         found = find_convex_ordering_exhaustive(g)
         assert found is not None
         assert validate_convex_ordering(g, found).ok
+
+
+def least_convex_ordering_by_permutations(g):
+    """The lexicographically least convex yperm, by trying every permutation."""
+    for perm in permutations(range(1, g.n2 + 1)):
+        if validate_convex_ordering(g, perm).ok:
+            return perm
+    return None
+
+
+def test_exhaustive_search_agrees_with_permutations():
+    # A third of the draws are relabelled interval graphs, convex by
+    # construction; the others put each edge in with one fixed probability,
+    # and are often not convex once n2 >= 4.
+    rng = random.Random(404)
+    verdicts = {True: 0, False: 0}
+    for k in range(600):
+        if k % 3 == 0:
+            g, _ = relabel_y(random_convex_instance(rng, max_side=7)[0], rng)
+        else:
+            n1, n2 = rng.randint(2, 7), rng.randint(3, 7)
+            p = rng.uniform(0.3, 0.7)
+            g = build_graph(
+                n1, n2, [(i, j) for i in range(1, n1 + 1) for j in range(1, n2 + 1) if rng.random() < p]
+            )
+        want = least_convex_ordering_by_permutations(g)
+        assert find_convex_ordering_exhaustive(g) == want, format_graph_text(g)
+        verdicts[want is not None] += 1
+    assert min(verdicts.values()) > 100
 
 
 def interval_graph(rng):
