@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 from .chains import _coverage_runs
@@ -19,7 +18,7 @@ from .errors import CapacityError, GenerationError, InputError
 from .graph import BipartiteGraph, build_graph
 from .io import format_graph_text
 from .ordering import Interval, compute_lex_convex_ordering, identity_permutation
-from .reductions import SetSystem
+from .reductions import SetSystem, _least_cover
 from .solver import SolveResult, counterexample_graph, solve_baseline, solve_exact
 
 __all__ = [
@@ -72,23 +71,16 @@ def brute_force_gamma_ve(
             for i in g.neighbors_y(v.index):
                 acc |= incident_x[i]
         masks.append(acc)
-    full = (1 << len(edges)) - 1
-    for size in range(1, g.n + 1):
-        for combo in combinations(range(g.n), size):
-            acc = 0
-            for k in combo:
-                acc |= masks[k]
-            if acc == full:
-                return SolveResult(size, frozenset(order[k] for k in combo), ())
-    raise AssertionError("unreachable: the full vertex set dominates every edge")
+    combo = _least_cover(masks, (1 << len(edges)) - 1, g.n)
+    return SolveResult(len(combo), frozenset(order[k] for k in combo), ())
 
 
-def brute_force_min_cover(
-    ss: SetSystem, *, max_sets: int = BRUTE_FORCE_SET_LIMIT
-) -> frozenset[int] | None:
+def brute_force_min_cover(ss: SetSystem) -> frozenset[int] | None:
     """Smallest subfamily covering the universe, or None when there is none."""
-    if ss.q > max_sets:
-        raise CapacityError(f"cover search is capped at {max_sets} sets (got {ss.q})")
+    if ss.q > BRUTE_FORCE_SET_LIMIT:
+        raise CapacityError(
+            f"cover search is capped at {BRUTE_FORCE_SET_LIMIT} sets (got {ss.q})"
+        )
     masks = [sum(1 << (e - 1) for e in s) for s in ss.sets]
     full = (1 << ss.universe) - 1
     whole = 0
@@ -96,14 +88,7 @@ def brute_force_min_cover(
         whole |= mk
     if whole != full:
         return None
-    for size in range(1, ss.q + 1):
-        for combo in combinations(range(ss.q), size):
-            acc = 0
-            for k in combo:
-                acc |= masks[k]
-            if acc == full:
-                return frozenset(k + 1 for k in combo)
-    raise AssertionError("unreachable: the whole family covers")
+    return frozenset(k + 1 for k in _least_cover(masks, full, ss.q))
 
 
 @dataclass(frozen=True)

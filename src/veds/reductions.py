@@ -1,11 +1,15 @@
 """Constructive reductions from set cover to vertex-edge domination on
 star-convex and comb-convex bipartite graphs.
 
-Both constructions attach one element vertex a_i per universe element and one
-set vertex b_j per family member, wire memberships, give every a_i a private
-pendant z_i, and add a hub gadget whose pendant edge forces the hub into any
-normalised solution.  A cover of size t then corresponds exactly to a VED-set
-of size t + 1, in both directions.
+Both graphs are one gadget.  X holds the elements a_1..a_p, then a backbone
+whose last vertex is the hub, then a pendant; Y holds the sets b_1..b_q,
+then a private z_i per element, then a bridge.  Edges are the memberships,
+a_i~z_i, every backbone vertex to every b_j, and the path
+hub~bridge~pendant.  The star's backbone is the single vertex u; the comb's
+is r_1..r_{p+1}.  So in both graphs the hub is x_{n1-1}, the pendant x_{n1}
+and the bridge y_{n2}, and the pendant edge forces the hub into any
+normalised solution.  A cover of size t then corresponds exactly to a
+VED-set of size t + 1, in both directions.
 """
 
 from __future__ import annotations
@@ -96,17 +100,10 @@ class ReductionArtifact:
     certificate: TreeCertificate
     vertex_roles: tuple[tuple[str, VertexRef], ...]
     system: SetSystem
-    kind: str
     coverless: bool
 
     def roles(self) -> dict[str, VertexRef]:
         return dict(self.vertex_roles)
-
-    def role(self, name: str) -> VertexRef:
-        for role, ref in self.vertex_roles:
-            if role == name:
-                return ref
-        raise InputError(f"unknown role {name!r}")
 
 
 def _require_family_fits(ss: SetSystem) -> None:
@@ -119,101 +116,59 @@ def _require_family_fits(ss: SetSystem) -> None:
         raise ContractError("reduction requires at least one set")
 
 
-def reduce_star_convex(ss: SetSystem) -> ReductionArtifact:
-    """X = elements + hub u + pendant u'; Y = sets + privates + bridge v.
-
-    Edges: memberships a_i~b_j, privates a_i~z_i, the hub path u~v~u', and
-    u~b_j for every set.  The witness star is centred at u.
-    """
+def _gadget(
+    ss: SetSystem, backbone: list[str], pendant: str, bridge: str, cert: TreeCertificate
+) -> ReductionArtifact:
+    """The reduced graph with the named backbone x_{p+1}..x_{n1-1}, pendant
+    x_{n1} and bridge y_{n2}; the last backbone vertex is the hub."""
     _require_family_fits(ss)
     p, q = ss.universe, ss.q
-    u, uprime = p + 1, p + 2
-    v = q + p + 1
-    edges: list[tuple[int, int]] = []
-    for j, members in enumerate(ss.sets, start=1):
-        edges.extend((i, j) for i in sorted(members))
-    edges.extend((i, q + i) for i in range(1, p + 1))
-    edges.append((u, v))
-    edges.append((uprime, v))
-    edges.extend((u, j) for j in range(1, q + 1))
-    graph = build_graph(p + 2, q + p + 1, edges)
-    cert = TreeCertificate(
-        kind="star",
-        edges=tuple((u, t) for t in range(1, p + 1)) + ((u, uprime),),
-        center=u,
-    )
-    roles: list[tuple[str, VertexRef]] = []
-    roles.extend((f"a{i}", xref(i)) for i in range(1, p + 1))
-    roles.append(("u", xref(u)))
-    roles.append(("u'", xref(uprime)))
-    roles.extend((f"b{j}", yref(j)) for j in range(1, q + 1))
-    roles.extend((f"z{i}", yref(q + i)) for i in range(1, p + 1))
-    roles.append(("v", yref(v)))
+    hub, y_bridge = p + len(backbone), q + p + 1
+    edges = [(i, j) for j, members in enumerate(ss.sets, start=1) for i in members]
+    edges += [(i, q + i) for i in range(1, p + 1)]
+    edges += [(r, j) for r in range(p + 1, hub + 1) for j in range(1, q + 1)]
+    edges += [(hub, y_bridge), (hub + 1, y_bridge)]
+    roles = [(f"a{i}", xref(i)) for i in range(1, p + 1)]
+    roles += [(name, xref(p + k)) for k, name in enumerate(backbone, start=1)]
+    roles.append((pendant, xref(hub + 1)))
+    roles += [(f"b{j}", yref(j)) for j in range(1, q + 1)]
+    roles += [(f"z{i}", yref(q + i)) for i in range(1, p + 1)]
+    roles.append((bridge, yref(y_bridge)))
     return ReductionArtifact(
-        graph=graph,
+        graph=build_graph(hub + 1, y_bridge, edges),
         certificate=cert,
         vertex_roles=tuple(roles),
         system=ss,
-        kind="star",
         coverless=bool(ss.uncovered_elements()),
     )
+
+
+def reduce_star_convex(ss: SetSystem) -> ReductionArtifact:
+    """The gadget with backbone u, pendant u' and bridge v: X = elements + u
+    + u'; Y = sets + privates + v.  The witness star is centred at u."""
+    u = ss.universe + 1
+    star = TreeCertificate(
+        kind="star",
+        edges=tuple((u, t) for t in range(1, u)) + ((u, u + 1),),
+        center=u,
+    )
+    return _gadget(ss, ["u"], "u'", "v", star)
 
 
 def reduce_comb_convex(ss: SetSystem) -> ReductionArtifact:
-    """X = elements + backbone r_1..r_{p+1} + pendant r'; Y = sets + privates
-    + bridge w.
-
-    Every set vertex sees the whole backbone; the hub path is
-    r_{p+1}~w~r'.  The witness comb hangs a_i off r_i and r' off r_{p+1}.
-    """
-    _require_family_fits(ss)
-    p, q = ss.universe, ss.q
-    backbone = tuple(p + k for k in range(1, p + 2))  # r_1..r_{p+1}
-    rprime = 2 * p + 2
-    w = q + p + 1
-    edges: list[tuple[int, int]] = []
-    for j, members in enumerate(ss.sets, start=1):
-        edges.extend((i, j) for i in sorted(members))
-    edges.extend((i, q + i) for i in range(1, p + 1))
-    edges.extend((r, j) for j in range(1, q + 1) for r in backbone)
-    edges.append((backbone[-1], w))
-    edges.append((rprime, w))
-    graph = build_graph(2 * p + 2, q + p + 1, edges)
-    cert_edges = tuple(zip(backbone, backbone[1:]))
-    teeth = tuple((backbone[i - 1], i) for i in range(1, p + 1)) + ((backbone[-1], rprime),)
-    cert = TreeCertificate(
+    """The gadget with backbone r_1..r_{p+1}, pendant r' and bridge w: every
+    set vertex sees the whole backbone, and the hub path is r_{p+1}~w~r'.
+    The witness comb hangs a_i off r_i and r' off r_{p+1}."""
+    p = ss.universe
+    backbone = tuple(range(p + 1, 2 * p + 2))
+    teeth = tuple(zip(backbone, range(1, p + 1))) + ((2 * p + 1, 2 * p + 2),)
+    comb = TreeCertificate(
         kind="comb",
-        edges=cert_edges + tuple((r, t) for r, t in teeth),
+        edges=tuple(zip(backbone, backbone[1:])) + teeth,
         backbone=backbone,
         teeth=teeth,
     )
-    roles: list[tuple[str, VertexRef]] = []
-    roles.extend((f"a{i}", xref(i)) for i in range(1, p + 1))
-    roles.extend((f"r{k}", xref(r)) for k, r in enumerate(backbone, start=1))
-    roles.append((f"r'{p + 1}", xref(rprime)))
-    roles.extend((f"b{j}", yref(j)) for j in range(1, q + 1))
-    roles.extend((f"z{i}", yref(q + i)) for i in range(1, p + 1))
-    roles.append(("w", yref(w)))
-    return ReductionArtifact(
-        graph=graph,
-        certificate=cert,
-        vertex_roles=tuple(roles),
-        system=ss,
-        kind="comb",
-        coverless=bool(ss.uncovered_elements()),
-    )
-
-
-def _hub(art: ReductionArtifact) -> VertexRef:
-    if art.kind == "star":
-        return art.role("u")
-    return art.role(f"r{art.system.universe + 1}")
-
-
-def _hub_pendants(art: ReductionArtifact) -> set[VertexRef]:
-    if art.kind == "star":
-        return {art.role("v"), art.role("u'")}
-    return {art.role("w"), art.role(f"r'{art.system.universe + 1}")}
+    return _gadget(ss, [f"r{k}" for k in range(1, p + 2)], f"r'{p + 1}", "w", comb)
 
 
 def cover_to_vedset(art: ReductionArtifact, cover: Iterable[int]) -> frozenset[VertexRef]:
@@ -221,32 +176,32 @@ def cover_to_vedset(art: ReductionArtifact, cover: Iterable[int]) -> frozenset[V
     cover = sorted(set(cover))
     if not art.system.is_cover(cover):
         raise ContractError(f"indices {cover} do not cover the universe")
-    d = frozenset(yref(j) for j in cover) | {_hub(art)}
-    assert is_ve_dominating_set(art.graph, d)
+    d = frozenset(yref(j) for j in cover) | {xref(art.graph.n1 - 1)}
+    if not is_ve_dominating_set(art.graph, d):
+        raise ContractError(f"cover_to_vedset built an invalid VED-set from {cover}")
     return d
 
 
 def vedset_to_cover(art: ReductionArtifact, d: Iterable[VertexRef]) -> frozenset[int]:
     """Normalise a VED-set of a reduced graph down to the cover it encodes.
 
-    Replacements, in fixed order: hub pendants collapse into the hub;
-    non-hub backbone vertices drop (comb); each private z_i and each element
-    a_i is dropped when a set-neighbour of a_i is already present, otherwise
-    replaced by the lowest-index set containing element i.  What survives is
-    set vertices plus the hub; the set indices are the cover.
+    Replacements, in fixed order: the pendant and the bridge collapse into
+    the hub; the backbone below the hub drops (comb); each private z_i and
+    each element a_i is dropped when a set-neighbour of a_i is already
+    present, otherwise replaced by the lowest-index set containing element i.
+    What survives is set vertices plus the hub; the set indices are the cover.
     """
+    g = art.graph
     d = set(d)
-    art.graph.check_refs(d)
-    if not is_ve_dominating_set(art.graph, d):
+    g.check_refs(d)
+    if not is_ve_dominating_set(g, d):
         raise ContractError("the given set is not a VED-set of the reduced graph")
     p, q = art.system.universe, art.system.q
-    hub = _hub(art)
-    pendants = _hub_pendants(art)
-    if d & (pendants | {hub}):
-        d -= pendants
+    hub, ends = xref(g.n1 - 1), {xref(g.n1), yref(g.n2)}
+    if d & (ends | {hub}):
+        d -= ends
         d.add(hub)
-    if art.kind == "comb":
-        d -= {xref(p + k) for k in range(1, p + 1)}
+    d -= {xref(i) for i in range(p + 1, g.n1 - 1)}
 
     def set_neighbours(element: int) -> list[int]:
         return [j for j, s in enumerate(art.system.sets, start=1) if element in s]
@@ -267,15 +222,30 @@ def vedset_to_cover(art: ReductionArtifact, d: Iterable[VertexRef]) -> frozenset
         settle(i, yref(q + i))  # private z_i
     for i in range(1, p + 1):
         settle(i, xref(i))  # element a_i
-    assert d <= {hub} | {yref(j) for j in range(1, q + 1)}
-    cover = frozenset(ref.index for ref in d if ref != hub)
-    assert art.system.is_cover(cover)
+    d.discard(hub)
+    if any(ref.side == "x" or ref.index > q for ref in d):
+        raise ContractError("vedset_to_cover left a vertex other than the hub and the sets")
+    cover = frozenset(ref.index for ref in d)
+    if not art.system.is_cover(cover):
+        raise ContractError(f"vedset_to_cover normalised to {sorted(cover)}, not a cover")
     return cover
 
 
 class TreeConvexityCheck(NamedTuple):
     ok: bool
     violator: int | None  # smallest offending y-index
+
+
+def _reach(adj: dict[int, set[int]], start: int, allowed) -> set[int]:
+    """The vertices of ``allowed`` reachable from ``start`` through ``allowed``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt in allowed and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def verify_tree_convexity(g: BipartiteGraph, cert: TreeCertificate) -> TreeConvexityCheck:
@@ -294,31 +264,26 @@ def verify_tree_convexity(g: BipartiteGraph, cert: TreeCertificate) -> TreeConve
         raise InputError(
             f"certificate has {len(cert.edges)} edges; a tree on {g.n1} vertices needs {g.n1 - 1}"
         )
-    if g.n1 > 0:
-        seen = {1}
-        stack = [1]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != g.n1:
-            raise InputError("certificate edges do not form a spanning tree of X")
+    if g.n1 > 0 and len(_reach(adj, 1, adj)) != g.n1:
+        raise InputError("certificate edges do not form a spanning tree of X")
     for j in range(1, g.n2 + 1):
         hood = set(g.neighbors_y(j))
-        if len(hood) <= 1:
-            continue
-        first = min(hood)
-        seen = {first}
-        stack = [first]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt in hood and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != hood:
+        if len(hood) > 1 and _reach(adj, min(hood), hood) != hood:
             return TreeConvexityCheck(False, j)
     return TreeConvexityCheck(True, None)
+
+
+def _least_cover(masks: list[int], full: int, max_size: int) -> tuple[int, ...] | None:
+    """The first combination of mask positions whose union is ``full``, by
+    size (at most ``max_size``) and then in lexicographic order, or None."""
+    for size in range(1, max_size + 1):
+        for combo in combinations(range(len(masks)), size):
+            acc = 0
+            for k in combo:
+                acc |= masks[k]
+            if acc == full:
+                return combo
+    return None
 
 
 def approx_set_cover(
@@ -331,10 +296,11 @@ def approx_set_cover(
     and convert its output back into a cover."""
     if ss.uncovered_elements():
         raise DomainError("the system has no cover: some element lies in no set")
-    for size in range(1, min(k, ss.q) + 1):
-        for combo in combinations(range(1, ss.q + 1), size):
-            if ss.is_cover(combo):
-                return frozenset(combo)
+    masks = [sum(1 << (e - 1) for e in s) for s in ss.sets]
+    combo = _least_cover(masks, (1 << ss.universe) - 1, min(k, ss.q))
+    if combo is not None:
+        return frozenset(j + 1 for j in combo)
     art = reduce_star_convex(ss)
     d = frozenset(ved_solver(art.graph))
     return vedset_to_cover(art, d)
+

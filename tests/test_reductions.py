@@ -1,17 +1,27 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import veds
 from veds import (
     ContractError,
     DomainError,
+    GeneratorConfig,
     InputError,
     SetSystem,
+    VedsError,
     approx_set_cover,
     brute_force_gamma_ve,
     brute_force_min_cover,
     build_graph,
     cover_to_vedset,
+    format_graph_text,
+    gen_random_convex_bipartite,
     is_ve_dominating_set,
     reduce_comb_convex,
     reduce_star_convex,
@@ -258,3 +268,129 @@ def test_approx_cover_rejects_coverless():
     ss = system(3, {1})
     with pytest.raises(DomainError):
         approx_set_cover(ss, 2, brute_ved_solver)
+
+
+def digest_systems():
+    """600 seeded set systems with p <= 9 and q <= p; some leave an element
+    uncovered."""
+    rng = random.Random(59)
+    out = []
+    for _ in range(600):
+        p = rng.randint(1, 9)
+        q = rng.randint(1, p)
+        density = rng.uniform(0.25, 0.8)
+        sets = [
+            frozenset(e for e in range(1, p + 1) if rng.random() < density)
+            or frozenset({rng.randint(1, p)})
+            for _ in range(q)
+        ]
+        out.append(SetSystem(p, tuple(sets)))
+    return out
+
+
+def test_reduction_outputs_digest():
+    # sha256 over the graph text, the certificate fields and the vertex
+    # roles of both reductions of 600 seeded set systems.  Any change to a
+    # vertex position, an edge, a role name or the witness tree shows here.
+    h = hashlib.sha256()
+    for ss in digest_systems():
+        for art in (reduce_star_convex(ss), reduce_comb_convex(ss)):
+            c = art.certificate
+            line = (
+                format_graph_text(art.graph),
+                (c.kind, c.edges, c.center, c.backbone, c.teeth),
+                [(name, ref.name()) for name, ref in art.vertex_roles],
+                art.coverless,
+            )
+            h.update(repr(line).encode() + b"\n")
+    assert h.hexdigest() == (
+        "93f91dbbc08fda700ace7e2618cddac7d28483ead5a6024cabec4015380c453c"
+    )
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except VedsError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_cover_search_digest():
+    # sha256 over the tie-breaks of every exhaustive cover search and of the
+    # VED-set normalisation: brute_force_min_cover on 600 systems, and on the
+    # systems with p <= 4 the brute-force witnesses of both reduced graphs,
+    # approx_set_cover at every depth k, and vedset_to_cover (result or
+    # error text) on 20 random vertex subsets of each reduced graph; then the
+    # brute-force witnesses of 300 random convex graphs with n <= 14.
+    rng = random.Random(61)
+    h = hashlib.sha256()
+
+    def put(value):
+        h.update(repr(value).encode() + b"\n")
+
+    def ved_solver(g):
+        return brute_force_gamma_ve(g, max_vertices=23).witness
+
+    for ss in digest_systems():
+        cover = brute_force_min_cover(ss)
+        put(sorted(cover) if cover is not None else None)
+        if ss.universe > 4:
+            continue
+        for art in (reduce_star_convex(ss), reduce_comb_convex(ss)):
+            r = brute_force_gamma_ve(art.graph, max_vertices=23)
+            put((r.gamma_ve, sorted(r.witness)))
+            verts = list(art.graph.vertices())
+            for _ in range(20):
+                keep = rng.uniform(0.2, 0.9)
+                d = {v for v in verts if rng.random() < keep}
+                got = _outcome(vedset_to_cover, art, d)
+                put(sorted(got) if isinstance(got, frozenset) else got)
+        for k in range(ss.q + 1):
+            got = _outcome(approx_set_cover, ss, k, ved_solver)
+            put(sorted(got) if isinstance(got, frozenset) else got)
+    for seed in range(300):
+        n1 = rng.randint(1, 8)
+        cfg = GeneratorConfig(n1, rng.randint(1, 14 - n1), rng.uniform(0.2, 0.8), seed)
+        r = brute_force_gamma_ve(gen_random_convex_bipartite(cfg))
+        put((r.gamma_ve, sorted(r.witness)))
+    assert h.hexdigest() == (
+        "3554e979b741a99aa2205f6bd05e01f4ec8fc21f3a86f98f301a4137d6d0e4ef"
+    )
+
+
+def test_reduction_contract_checks_survive_python_O():
+    # Under -O the interpreter strips asserts; the round trip's own checks
+    # must still run, and raise when the checkers reject the result.
+    script = (
+        "import veds.reductions as r\n"
+        "from veds import ContractError, SetSystem, xref, yref\n"
+        "ss = SetSystem(2, (frozenset({1}), frozenset({1, 2})))\n"
+        "art = r.reduce_star_convex(ss)\n"
+        "print(__debug__, sorted(v.name() for v in r.cover_to_vedset(art, {2})))\n"
+        "real = r.is_ve_dominating_set\n"
+        "r.is_ve_dominating_set = lambda g, d: False\n"
+        "try:\n"
+        "    r.cover_to_vedset(art, {2})\n"
+        "except ContractError as exc:\n"
+        "    print('cover_to_vedset raised:', exc)\n"
+        "r.is_ve_dominating_set = real\n"
+        "# Accept the cover {1, 2} and reject the {2} that {b2, z1, u} normalises to.\n"
+        "SetSystem.is_cover = lambda self, indices: len(set(indices)) > 1\n"
+        "print(sorted(v.name() for v in r.cover_to_vedset(art, {1, 2})))\n"
+        "try:\n"
+        "    r.vedset_to_cover(art, {yref(2), yref(3), xref(3)})\n"
+        "except ContractError as exc:\n"
+        "    print('vedset_to_cover raised:', exc)\n"
+    )
+    src = str(Path(veds.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "False ['x3', 'y2']",
+        "cover_to_vedset raised: cover_to_vedset built an invalid VED-set from [2]",
+        "['x3', 'y1', 'y2']",
+        "vedset_to_cover raised: vedset_to_cover normalised to [2], not a cover",
+    ]
