@@ -88,11 +88,13 @@ class _Component:
     """One connected piece of intervals and the tables its states read,
     shared by the exact solver and ``decompose``.
 
-    A state ``(start, k)`` stands for ``members[k:]`` of ``front(start)`` (the
-    intervals containing start, from index k on) plus every interval starting
-    after start.  ``entries`` are the piece's intervals, sorted,
-    none starting before ``ylo``, together covering [ylo, yhi]; ``lefts``
-    holds their left ends.  Built once, in O(n):
+    A state is asked for as (floor, start): ``front(start, floor)``, the
+    intervals containing start with left end > floor, plus every interval
+    starting after start.  The front is read off one window of ``entries``,
+    those with floor < left <= start, and kept in ``entries`` order.
+    ``entries`` are the piece's intervals, sorted, none starting before
+    ``ylo``, together covering [ylo, yhi]; ``lefts`` holds their left ends.
+    Built once, in O(n):
 
     - ``sufmin[i]``: the least right end in ``entries[i:]``;
     - ``cut[i]``: the largest boundary q <= yhi - 1 (between positions q and
@@ -100,14 +102,11 @@ class _Component:
       Intervals join only by overlap, so a boundary, not a position, is what
       separates two runs.
 
-    ``fronts[s]``, built the first time start s is visited, holds the
-    intervals containing s in ``entries`` order, their left ends, and the
-    suffix minima and maxima of their (right, x); a request (floor, start)
-    is the state (start, k) with k the number of those left ends <= floor.
-    ``memo`` maps a state (start, k) to the solver's (count, witness).
+    ``memo`` maps a state (start, first interval of its front, or None when
+    the front is empty) to the solver's (count, witness).
     """
 
-    __slots__ = ("entries", "lefts", "ylo", "yhi", "sufmin", "cut", "fronts", "memo")
+    __slots__ = ("entries", "lefts", "ylo", "yhi", "sufmin", "cut", "memo")
 
     def __init__(self, entries: list[Interval], ylo: int, yhi: int) -> None:
         n = len(entries)
@@ -122,20 +121,12 @@ class _Component:
         self.lefts = [e[0] for e in entries]
         self.ylo, self.yhi = ylo, yhi
         self.sufmin, self.cut = sufmin, cut
-        self.fronts: dict[int, tuple] = {}
-        self.memo: dict[tuple[int, int], tuple] = {}
+        self.memo: dict[tuple[int, Interval | None], tuple] = {}
 
-    def front(self, start: int) -> tuple:
-        table = self.fronts.get(start)
-        if table is None:
-            members = [e for e in self.entries[: bisect_right(self.lefts, start)] if e[1] >= start]
-            low = [(e[1], e[2]) for e in members]
-            high = low[:]
-            for k in range(len(low) - 2, -1, -1):
-                low[k] = min(low[k], low[k + 1])
-                high[k] = max(high[k], high[k + 1])
-            table = self.fronts[start] = (members, [e[0] for e in members], low, high)
-        return table
+    def front(self, start: int, floor: int) -> list[Interval]:
+        lefts = self.lefts
+        window = self.entries[bisect_right(lefts, floor) : bisect_right(lefts, start)]
+        return [e for e in window if e[1] >= start]
 
 
 def _nested(entries: list[Interval]) -> bool:
@@ -150,7 +141,10 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
     All reasoning happens on ordering positions; the reported sets carry
     original vertex indices.  The peels are the exact solver's ``x_pivot``
     walk from the first Y position: each starts one past the previous
-    chain's reach, and the last reach is the final Y position.
+    chain's reach, and the last reach is the final Y position.  A round's
+    chain is ``front(start, floor)`` with the previous round's start as
+    floor, so the rounds read disjoint windows of the sorted intervals: each
+    interval enters at most one front.
     """
     ensure_valid_lex_ordering(g, ordering)
     comp = _Component(list(ordering.intervals), 1, g.n2)
@@ -167,20 +161,21 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
     chains: list[tuple[frozenset[int], frozenset[int]]] = []
     strands: list[frozenset[int]] = []
     pivots: list[int] = []
-    start = 1
+    floor, start = 0, 1
     while start <= g.n2:
         # Every interval containing `start` starts after the previous start:
         # one containing both would have been in the previous front, whose
-        # farthest reach is start - 1.  So the whole front is this chain's.
-        front, _, low, high = comp.front(start)
-        reach, pivot = high[0]
+        # farthest reach is start - 1.  So the floor drops none of this
+        # chain's front.
+        front = comp.front(start, floor)
+        reach, pivot = max((e[1], e[2]) for e in front)
         b = bisect_right(lefts, start)
         stranded = [e for e in entries[b : bisect_right(lefts, reach)] if e[1] <= reach]
         whole_is_chain = (
             reach == g.n2
             and stranded
             and _nested(stranded)
-            and max(e[1] for e in stranded) <= low[0][0]
+            and max(e[1] for e in stranded) <= min(e[1] for e in front)
         )
         if whole_is_chain:
             front, stranded = front + stranded, []
@@ -188,7 +183,7 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
         chains.append((frozenset(e[2] for e in front), y_block))
         strands.append(frozenset(e[2] for e in stranded))
         pivots.append(pivot)
-        start = reach + 1
+        floor, start = start, reach + 1
     return ChainDecomposition(
         tuple(chains), tuple(strands), tuple(pivots), frozenset(), ordering
     )

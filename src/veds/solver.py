@@ -9,16 +9,16 @@ smaller branch wins.  Universal vertices and edgeless remainders end a
 branch, disconnected remainders split and sum, and states are memoised per
 connected piece so the work stays polynomial.
 
-Inside a connected piece a state is asked for as (floor, start): the
-intervals with left end > floor and right end >= start.  Those are the
-sorted intervals containing start from index k on, plus every interval
-starting after start, so the pair (start, k) names the state and keys the
-memo; floors that keep the same intervals share one state and one trace step.
-Each state is read off the piece's index tables (``chains._Component``,
-whose x_pivot walk is also ``decompose``) with a few bisections, in
-O(log n); only a split builds an interval list.  States are evaluated on an
-explicit stack, so deep instances need no deep Python recursion and no
-change to the interpreter's recursion limit.
+Inside a connected piece a state is asked for as (floor, start): its front,
+the intervals containing start with left end > floor, plus every interval
+starting after start.  The front is one window of the piece's sorted
+intervals (``chains._Component``, whose x_pivot walk is also ``decompose``),
+those with floor < left <= start; its largest and least (right, x) give the
+pivot and the label vertex.  Start and the front's first interval name the
+state and key the memo: floors that keep the same intervals share one state
+and one trace step.  Only a split builds an interval list.  States are
+evaluated on an explicit stack, so deep instances need no deep Python
+recursion and no change to the interpreter's recursion limit.
 
 The baseline solver picks one pivot per chain of the chain decomposition.
 It always yields a valid VED-set but is not always minimum;
@@ -35,7 +35,7 @@ from typing import Callable, Generator, NamedTuple
 from .chains import _Component, _coverage_runs, decompose
 from .errors import ContractError
 from .graph import BipartiteGraph, VertexRef, build_graph, xref, yref
-from .ordering import LexConvexOrdering, ensure_valid_lex_ordering
+from .ordering import Interval, LexConvexOrdering, ensure_valid_lex_ordering
 
 __all__ = [
     "TraceStep",
@@ -79,13 +79,12 @@ _Request = tuple[_Component, int, int]  # (component, start, floor)
 def _evaluate(
     comp: _Component,
     start: int,
-    front: tuple,
-    k: int,
+    front: list[Interval],
     yname: Callable[[int], str],
     trace: list[TraceStep],
 ) -> Generator[_Request, tuple[int, _Witness], tuple[int, _Witness]]:
-    """Count and witness of state ``(start, k)``, read off ``comp``'s tables;
-    ``front`` is ``comp.front(start)``.
+    """Count and witness of the state holding ``front`` (the intervals of
+    ``comp.front(start, floor)``) and every interval starting after start.
 
     Yields each child state it needs as (component, start, floor) and is sent
     back that state's (count, witness); appends its own trace step last.
@@ -93,14 +92,17 @@ def _evaluate(
     entries, lefts, sufmin = comp.entries, comp.lefts, comp.sufmin
     n = len(entries)
     b = bisect_right(lefts, start)  # entries[b:] start after `start`
-    members, _, low, high = front  # members[k:] is the state's front
-    empty_front = k == len(members)
-    if empty_front and b == n:
+    if front:
+        first_reach, first_x = min((e[1], e[2]) for e in front)
+        reach, pivot = max((e[1], e[2]) for e in front)
+    elif b == n:
         return 0, None
-    label = (f"x{entries[b][2] if empty_front else low[k][1]}", yname(start))
-    if empty_front or comp.cut[b] >= high[k][0]:
+    else:
+        first_x = entries[b][2]
+    label = (f"x{first_x}", yname(start))
+    if not front or comp.cut[b] >= reach:
         # Disconnected, or not reaching yhi: solve each run as a fresh piece.
-        xs = sorted((start, e[1], e[2]) for e in members[k:]) + entries[b:]
+        xs = sorted((start, e[1], e[2]) for e in front) + entries[b:]
         count, witness = 0, None
         for run, lo, hi in _coverage_runs(xs):
             run_count, run_witness = yield _Component(run, lo, hi), lo, lo - 1
@@ -111,8 +113,6 @@ def _evaluate(
         trace.append(TraceStep(label, "split", None))
         return count, witness
 
-    first_reach = low[k][0]
-    reach, pivot = high[k]
     if reach == comp.yhi:
         # The pivot's interval spans the whole remaining Y side.
         trace.append(TraceStep(label, "universal", f"x{pivot}"))
@@ -154,20 +154,20 @@ def _solve(
     memoize: bool,
 ) -> tuple[int, _Witness]:
     """Evaluate ``root``'s first state on an explicit stack of suspended
-    ``_evaluate`` calls: each request is turned into its state (start, k)
-    once; memo hits are answered at once, misses pushed."""
-    frames: list[tuple[Generator, dict, tuple[int, int]]] = []
+    ``_evaluate`` calls: each request (floor, start) is turned into its front
+    once and keyed by start and the front's first interval; memo hits are
+    answered at once, misses pushed."""
+    frames: list[tuple[Generator, dict, tuple[int, Interval | None]]] = []
     request: _Request | None = (root, root.ylo, root.ylo - 1)
     reply = None
     while True:
         if request is not None:
             comp, start, floor = request
-            front = comp.front(start)
-            k = bisect_right(front[1], floor)
-            key = (start, k)
+            front = comp.front(start, floor)
+            key = (start, front[0] if front else None)
             reply = comp.memo.get(key) if memoize else None
             if reply is None:
-                frames.append((_evaluate(comp, start, front, k, yname, trace), comp.memo, key))
+                frames.append((_evaluate(comp, start, front, yname, trace), comp.memo, key))
         gen, memo, key = frames[-1]
         try:
             request = gen.send(reply)

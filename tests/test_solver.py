@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_right
 from itertools import combinations
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import veds
+import veds.chains as chains
 from veds import (
     ContractError,
     build_graph,
@@ -18,6 +20,7 @@ from veds import (
     compute_lex_convex_ordering,
     counterexample_graph,
     decompose,
+    identity_permutation,
     is_ve_dominating_set,
     solve_baseline,
     solve_exact,
@@ -144,6 +147,44 @@ def test_gamma_invariant_under_y_reversal_and_x_relabelling(case):
     reversed_y = compute_lex_convex_ordering(g, sigma[::-1])
     assert solve_exact(g, reversed_y).gamma_ve == gamma
     assert solve_exact(moved, compute_lex_convex_ordering(moved, sigma)).gamma_ve == gamma
+
+
+def test_gamma_invariant_under_reversing_a_module_block():
+    # Reversing a block of Y positions [p, q] that every interval contains,
+    # misses or lies inside gives a second convex ordering of the same graph,
+    # which must give the same gamma_ve and a valid witness.  The block is
+    # drawn among all such blocks with 1 < q - p + 1 < n2; count the cases
+    # whose interval lists differ, so the check is not vacuous.
+    moved = [0]
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(interval_instances(), st.data())
+    def check(case, data):
+        g, _, sigma = case
+        ordv = compute_lex_convex_ordering(g, sigma)
+        spans = {e[:2] for e in ordv.intervals}
+        n2 = len(sigma)
+        blocks = [
+            (p, q)
+            for p in range(1, n2 + 1)
+            for q in range(p + 1, min(n2, p + n2 - 2) + 1)
+            if all(
+                r < p or q < l or (l <= p and q <= r) or (p <= l and r <= q)
+                for l, r in spans
+            )
+        ]
+        if not blocks:
+            return
+        p, q = data.draw(st.sampled_from(blocks))
+        flipped_sigma = sigma[: p - 1] + sigma[p - 1 : q][::-1] + sigma[q:]
+        flipped = compute_lex_convex_ordering(g, flipped_sigma)
+        first, second = solve_exact(g, ordv), solve_exact(g, flipped)
+        assert first.gamma_ve == second.gamma_ve
+        assert is_ve_dominating_set(g, first.witness) and is_ve_dominating_set(g, second.witness)
+        moved[0] += ordv.intervals != flipped.intervals
+
+    check()
+    assert moved[0] >= 50
 
 
 def test_ordering_of_another_graph_is_a_contract_error(counterexample):
@@ -457,19 +498,47 @@ def test_memoised_trace_is_the_unmemoised_one_without_repeats():
     assert split_seen == 30
 
 
-def test_sparse_trace_length_is_linear():
-    # Count-based growth check on the deep sparse families: one trace step
-    # per distinct state, at most 2 * n2 of them.  Paths also check
-    # gamma_ve(P_k) = (k+2)//4.
-    rng = random.Random(137)
-    for n in (100, 200, 400, 800):
-        g = path_graph(2 * n)
-        r = solve_exact(g, ordered(g))
-        assert r.gamma_ve == (2 * n + 2) // 4
-        assert len(r.trace) <= 2 * g.n2
-    for n1 in (110, 220, 440, 880):
-        g = chain_graph(n1, rng)
-        assert len(solve_exact(g, ordered(g)).trace) <= 2 * g.n2
+def test_sparse_trace_length_is_linear(monkeypatch):
+    # Count-based growth checks on the deep sparse families, each also under
+    # a random Y labelling.  One trace step per distinct state, at most
+    # 2 * n2 of them.  The windows of entries the fronts read hold at most
+    # 8 intervals per interval over a solve and 1 over a decomposition, whose
+    # rounds read disjoint windows.  Paths also check gamma_ve(P_k) = (k+2)//4.
+    read = [0]
+    front = chains._Component.front
+
+    def counted_front(comp, start, floor):
+        read[0] += bisect_right(comp.lefts, start) - bisect_right(comp.lefts, floor)
+        return front(comp, start, floor)
+
+    monkeypatch.setattr(chains._Component, "front", counted_front)
+    rng, relabel_rng = random.Random(137), random.Random(139)
+    cases = [(path_graph(2 * n), 2 * n) for n in (100, 200, 400, 800)]
+    cases += [(chain_graph(n1, rng), None) for n1 in (110, 220, 440, 880)]
+    for base, k in cases:
+        for g, sigma in ((base, identity_permutation(base.n2)), relabel_y(base, relabel_rng)):
+            ordv = compute_lex_convex_ordering(g, sigma)
+            read[0] = 0
+            r = solve_exact(g, ordv)
+            assert k is None or r.gamma_ve == (k + 2) // 4
+            assert len(r.trace) <= 2 * g.n2
+            assert read[0] <= 8 * len(ordv.intervals)
+            read[0] = 0
+            decompose(g, ordv)
+            assert read[0] <= len(ordv.intervals)
+
+    # front(start, floor) is the definition, for every floor < start.
+    rng, pieces = random.Random(149), 0
+    while pieces < 300:
+        g = short_interval_graph(rng)
+        for run, lo, hi in chains._coverage_runs(ordered(g).intervals):
+            comp = chains._Component(run, lo, hi)
+            for start in range(lo, hi + 1):
+                for floor in range(start):
+                    assert front(comp, start, floor) == [
+                        e for e in run if floor < e[0] <= start <= e[1]
+                    ]
+            pieces += 1
 
 
 @settings(max_examples=100, deadline=None)
