@@ -9,7 +9,6 @@ from .chains import (
     ChainDecomposition,
     DecompositionLemmaReport,
     decompose,
-    is_chain_graph,
     verify_decomposition_lemma,
 )
 from .errors import (
@@ -26,7 +25,6 @@ from .graph import (
     build_graph,
     connected_components,
     first_undominated_edge,
-    induced_subgraph,
     is_ve_dominating_set,
     parse_vertex_name,
     xref,

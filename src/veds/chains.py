@@ -8,16 +8,21 @@ X vertices stranded (isolated) by the removal; repeat.  When the remainder is
 itself a chain graph it is emitted whole as the final chain.  Each peel is
 one ``x_pivot`` step of the exact solver, read off the same ``_Component``
 tables.
+
+``verify_decomposition_lemma`` checks a decomposition against the graph
+alone, without the intervals: it labels every vertex with its part once,
+which is also the partition check, and then reads the labels along one
+adjacency list per vertex, in O(n + m).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError
-from .graph import BipartiteGraph, VertexRef, xref, yref
+from .graph import BipartiteGraph, VertexRef
 from .ordering import Interval, LexConvexOrdering, ensure_valid_lex_ordering
 
 __all__ = [
@@ -25,7 +30,6 @@ __all__ = [
     "ClauseCheck",
     "DecompositionLemmaReport",
     "decompose",
-    "is_chain_graph",
     "verify_decomposition_lemma",
 ]
 
@@ -49,14 +53,6 @@ class ChainDecomposition:
     pivots: tuple[int, ...]
     tail_isolated: frozenset[VertexRef]
     ordering: LexConvexOrdering
-
-    def vertex_partition(self) -> list[frozenset[VertexRef]]:
-        parts: list[frozenset[VertexRef]] = []
-        for (hx, hy), js in zip(self.chains, self.isolated_sets):
-            parts.append(frozenset(xref(i) for i in hx) | frozenset(yref(j) for j in hy))
-            parts.append(frozenset(xref(i) for i in js))
-        parts.append(self.tail_isolated)
-        return parts
 
 
 def _coverage_runs(entries: Sequence[Interval]) -> list[tuple[list[Interval], int, int]]:
@@ -189,15 +185,6 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
     )
 
 
-def is_chain_graph(g: BipartiteGraph) -> bool:
-    """True iff the X-neighbourhoods are totally ordered by inclusion."""
-    hoods = sorted(
-        (frozenset(g.neighbors_x(i)) for i in range(1, g.n1 + 1)),
-        key=lambda s: -len(s),
-    )
-    return all(b <= a for a, b in zip(hoods, hoods[1:]))
-
-
 @dataclass(frozen=True)
 class ClauseCheck:
     chain_index: int  # 1-based
@@ -209,11 +196,52 @@ class ClauseCheck:
 @dataclass(frozen=True)
 class DecompositionLemmaReport:
     checks: tuple[ClauseCheck, ...]
-    tail_flagged: bool
 
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
+
+
+def _labels(g: BipartiteGraph, decomp: ChainDecomposition) -> tuple[list[int], list[int]]:
+    """Label every vertex with its part: ``part_x[i]`` and ``part_y[j]`` are
+    0 for the tail, 2k - 1 for chain k and 2k for the strand after it (Y
+    vertices are never stranded); index 0 is unused.
+
+    This is the partition check.  A mentioned vertex the graph lacks is
+    reported first, the least one, x side before y; then every vertex must
+    be mentioned exactly once.
+    """
+    tail = decomp.tail_isolated
+    xparts = [[v.index for v in tail if v.side == "x"]]
+    yparts = [[v.index for v in tail if v.side != "x"]]
+    for (hx, hy), js in zip(decomp.chains, decomp.isolated_sets):
+        xparts += (hx, js)
+        yparts += (hy, ())
+    for side, n, parts in (("x", g.n1, xparts), ("y", g.n2, yparts)):
+        foreign = [v for part in parts for v in part if not 1 <= v <= n]
+        if foreign:
+            raise ContractError(
+                f"decomposition mentions {side}{min(foreign)}, which the graph lacks"
+            )
+    part_x, part_y = [-1] * (g.n1 + 1), [-1] * (g.n2 + 1)
+    for label, parts in ((part_x, xparts), (part_y, yparts)):
+        for k, part in enumerate(parts):
+            for v in part:
+                label[v] = k
+    # n mentions that leave no vertex unlabelled mention each exactly once.
+    if sum(map(len, xparts + yparts)) != g.n or -1 in part_x[1:] or -1 in part_y[1:]:
+        raise ContractError("decomposition does not partition the graph's vertices")
+    return part_x, part_y
+
+
+def _hits(
+    adj: Sequence[Sequence[int]], part: list[int], vs: Iterable[int], label: int
+) -> Iterator[tuple[int, int]]:
+    """(v, w) for each v of vs with a neighbour labelled ``label``; w is the
+    least one, the first in v's ascending adjacency list."""
+    for v in vs:
+        if label in map(part.__getitem__, adj[v - 1]):
+            yield v, next(w for w in adj[v - 1] if part[w] == label)
 
 
 def verify_decomposition_lemma(
@@ -224,78 +252,33 @@ def verify_decomposition_lemma(
     Per chain i: (a) every stranded vertex of round i is adjacent to the Y
     side of chain i; (b) the last Y vertex of chain i has a neighbour inside
     chain i+1; (c) chain i has no adjacency into the strand of round i+1 nor
-    into chain i+2.
+    into chain i+2.  Each vertex is labelled with its part once; each clause
+    then reads the labels along one adjacency list per vertex, so the check
+    is O(n + m).  A chain with an empty side is a ContractError.
     """
     ensure_valid_lex_ordering(g, decomp.ordering)
-    _check_partition(g, decomp)
+    part_x, part_y = _labels(g, decomp)
+    adj_x, adj_y, chains = g.adj_x, g.adj_y, decomp.chains
     checks: list[ClauseCheck] = []
-    chains = decomp.chains
-    strands = decomp.isolated_sets
-    for idx, ((hx, hy), js) in enumerate(zip(chains, strands), start=1):
-        bad = sorted(v for v in js if not set(g.neighbors_x(v)) & hy)
-        checks.append(
-            ClauseCheck(
-                idx,
-                "strand-attached",
-                not bad,
-                "all stranded vertices touch the chain"
-                if not bad
-                else f"x{bad[0]} has no neighbour in the chain's Y side",
-            )
-        )
+    for idx, ((hx, hy), js) in enumerate(zip(chains, decomp.isolated_sets), start=1):
+        if not (hx and hy):
+            raise ContractError(f"decomposition chain {idx} has an empty side")
+        own = 2 * idx - 1  # chain idx + 1 is own + 2, and its strand own + 3
+        bad = sorted(v for v in js if own not in map(part_y.__getitem__, adj_x[v - 1]))
+        checks.append(ClauseCheck(idx, "strand-attached", not bad, (
+            f"x{bad[0]} has no neighbour in the chain's Y side" if bad
+            else "all stranded vertices touch the chain")))
         if idx < len(chains):
             last_y = max(hy, key=decomp.ordering.y_position)
-            nxt_x = chains[idx][0]
-            linked = sorted(set(g.neighbors_y(last_y)) & nxt_x)
-            checks.append(
-                ClauseCheck(
-                    idx,
-                    "next-chain-linked",
-                    bool(linked),
-                    f"y{last_y} reaches x{linked[0]} in chain {idx + 1}"
-                    if linked
-                    else f"y{last_y} has no neighbour in chain {idx + 1}",
-                )
-            )
-        forward_strand = strands[idx] if idx < len(strands) else frozenset()
-        forward_chain = chains[idx + 1] if idx + 1 < len(chains) else None
-        leaks: list[str] = []
-        for j in hy:
-            hit = set(g.neighbors_y(j)) & forward_strand
-            if hit:
-                leaks.append(f"y{j}~x{min(hit)} (strand {idx + 1})")
-        if forward_chain is not None:
-            fx, fy = forward_chain
-            for j in hy:
-                hit = set(g.neighbors_y(j)) & fx
-                if hit:
-                    leaks.append(f"y{j}~x{min(hit)} (chain {idx + 2})")
-            for i in hx:
-                hit = set(g.neighbors_x(i)) & fy
-                if hit:
-                    leaks.append(f"x{i}~y{min(hit)} (chain {idx + 2})")
-        checks.append(
-            ClauseCheck(
-                idx,
-                "no-forward-reach",
-                not leaks,
-                "no adjacency past the next strand" if not leaks else "; ".join(sorted(leaks)),
-            )
-        )
-    return DecompositionLemmaReport(tuple(checks), bool(decomp.tail_isolated))
-
-
-def _check_partition(g: BipartiteGraph, decomp: ChainDecomposition) -> None:
-    seen: set[VertexRef] = set()
-    total = 0
-    for part in decomp.vertex_partition():
-        for v in part:
-            limit = g.n1 if v.side == "x" else g.n2
-            if not 1 <= v.index <= limit:
-                raise ContractError(
-                    f"decomposition mentions {v.name()}, which the graph lacks"
-                )
-        total += len(part)
-        seen |= part
-    if total != len(seen) or len(seen) != g.n:
-        raise ContractError("decomposition does not partition the graph's vertices")
+            linked = [i for i in adj_y[last_y - 1] if part_x[i] == own + 2]
+            checks.append(ClauseCheck(idx, "next-chain-linked", bool(linked), (
+                f"y{last_y} reaches x{linked[0]} in chain {idx + 1}" if linked
+                else f"y{last_y} has no neighbour in chain {idx + 1}")))
+        # Labels past the last strand's match no vertex, so the last two
+        # chains need no bounds check.
+        leaks = [f"y{j}~x{i} (strand {idx + 1})" for j, i in _hits(adj_y, part_x, hy, own + 3)]
+        leaks += [f"y{j}~x{i} (chain {idx + 2})" for j, i in _hits(adj_y, part_x, hy, own + 4)]
+        leaks += [f"x{i}~y{j} (chain {idx + 2})" for i, j in _hits(adj_x, part_y, hx, own + 4)]
+        checks.append(ClauseCheck(idx, "no-forward-reach", not leaks, (
+            "; ".join(sorted(leaks)) if leaks else "no adjacency past the next strand")))
+    return DecompositionLemmaReport(tuple(checks))

@@ -1,5 +1,5 @@
-"""Bipartite graph container, induced subgraphs, connectivity, and the
-vertex-edge domination verifier.
+"""Bipartite graph container, connectivity, and the vertex-edge domination
+verifier.
 
 Vertices are addressed 1-based on each side: ``x1..x{n1}`` and ``y1..y{n2}``.
 A vertex w ve-dominates an edge uv when w lies in the closed neighbourhood of
@@ -23,7 +23,6 @@ __all__ = [
     "build_graph",
     "is_ve_dominating_set",
     "first_undominated_edge",
-    "induced_subgraph",
     "connected_components",
 ]
 
@@ -179,27 +178,6 @@ def is_ve_dominating_set(g: BipartiteGraph, d: Iterable[VertexRef]) -> bool:
     Runs in O(n + m) via one coverage pass over both sides.
     """
     return first_undominated_edge(g, d) is None
-
-
-def induced_subgraph(g: BipartiteGraph, xs: Iterable[int], ys: Iterable[int]) -> BipartiteGraph:
-    """Induce on the given vertex sets, renumbering 1..|xs|, 1..|ys| in
-    ascending original order."""
-    xs = sorted(set(xs))
-    ys = sorted(set(ys))
-    for i in xs:
-        if not 1 <= i <= g.n1:
-            raise InputError(f"x-index {i} out of range (n1={g.n1})")
-    for j in ys:
-        if not 1 <= j <= g.n2:
-            raise InputError(f"y-index {j} out of range (n2={g.n2})")
-    y_to_sub = {orig: k + 1 for k, orig in enumerate(ys)}
-    edges = [
-        (k + 1, y_to_sub[j])
-        for k, i in enumerate(xs)
-        for j in g.neighbors_x(i)
-        if j in y_to_sub
-    ]
-    return build_graph(len(xs), len(ys), edges)
 
 
 def connected_components(g: BipartiteGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -5,6 +5,7 @@ import pytest
 from veds import (
     BipartiteGraph,
     GeneratorConfig,
+    InputError,
     build_graph,
     compute_lex_convex_ordering,
     counterexample_graph,
@@ -40,6 +41,37 @@ def counterexample():
 def p8():
     """Path x1-y1-x2-y2-x3-y3-x4-y4."""
     return build_graph(4, 4, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4)])
+
+
+def induced_subgraph(g: BipartiteGraph, xs, ys) -> BipartiteGraph:
+    """Reference helper: induce on the given vertex sets, renumbering
+    1..|xs|, 1..|ys| in ascending original order."""
+    xs = sorted(set(xs))
+    ys = sorted(set(ys))
+    for i in xs:
+        if not 1 <= i <= g.n1:
+            raise InputError(f"x-index {i} out of range (n1={g.n1})")
+    for j in ys:
+        if not 1 <= j <= g.n2:
+            raise InputError(f"y-index {j} out of range (n2={g.n2})")
+    y_to_sub = {orig: k + 1 for k, orig in enumerate(ys)}
+    edges = [
+        (k + 1, y_to_sub[j])
+        for k, i in enumerate(xs)
+        for j in g.neighbors_x(i)
+        if j in y_to_sub
+    ]
+    return build_graph(len(xs), len(ys), edges)
+
+
+def is_chain_graph(g: BipartiteGraph) -> bool:
+    """Reference helper: true iff the X-neighbourhoods are totally ordered
+    by inclusion."""
+    hoods = sorted(
+        (frozenset(g.neighbors_x(i)) for i in range(1, g.n1 + 1)),
+        key=lambda s: -len(s),
+    )
+    return all(b <= a for a, b in zip(hoods, hoods[1:]))
 
 
 def naive_ve_dominates(g: BipartiteGraph, d) -> bool:

@@ -1,22 +1,34 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import veds
 from veds import (
+    ChainDecomposition,
     ContractError,
     build_graph,
     compute_lex_convex_ordering,
     connected_components,
     decompose,
-    induced_subgraph,
-    is_chain_graph,
     verify_decomposition_lemma,
     xref,
     yref,
 )
 
-from conftest import complete, ordered, random_convex_instance, relabel_y
+from conftest import (
+    complete,
+    induced_subgraph,
+    is_chain_graph,
+    ordered,
+    random_convex_instance,
+    relabel_y,
+)
 from test_solver import chain_graph, golden_instances, path_graph
 
 
@@ -150,11 +162,10 @@ def test_random_decompositions_partition_and_verify():
     for _ in range(250):
         g, ordv = random_convex_instance(rng, max_side=10, connected=True)
         d = decompose(g, ordv)
-        seen = set()
-        for part in d.vertex_partition():
-            assert not (part & seen)
-            seen |= part
-        assert len(seen) == g.n
+        xs = [i for (hx, _), js in zip(d.chains, d.isolated_sets) for i in (*hx, *js)]
+        ys = [j for _, hy in d.chains for j in hy]
+        assert sorted(xs) == list(range(1, g.n1 + 1))
+        assert sorted(ys) == list(range(1, g.n2 + 1))
         for hx, hy in d.chains:
             assert hx and hy
             sub = induced_subgraph(g, hx, hy)
@@ -195,4 +206,247 @@ def test_decomposition_digest():
         h.update(repr(line).encode() + b"\n")
     assert h.hexdigest() == (
         "2070a8c49fdd9a28daf00739a7feecec87500852922d2347cef0f78b98ce0aaa"
+    )
+
+
+def intervals_graph(n2, intervals):
+    """The graph whose x_i is adjacent to Y positions intervals[i - 1]
+    (inclusive ends), convex under the identity ordering."""
+    edges = [(i, j) for i, (lo, hi) in enumerate(intervals, start=1) for j in range(lo, hi + 1)]
+    return build_graph(len(intervals), n2, edges)
+
+
+def hand_built(g, chains, strands):
+    """A decomposition of g under the identity ordering with the given
+    (X, Y) chains and strands, which need not satisfy the lemma."""
+    return ChainDecomposition(
+        tuple((frozenset(hx), frozenset(hy)) for hx, hy in chains),
+        tuple(map(frozenset, strands)),
+        (),
+        frozenset(),
+        ordered(g),
+    )
+
+
+def clause_tuples(g, d):
+    return [
+        (c.chain_index, c.clause, c.ok, c.detail)
+        for c in verify_decomposition_lemma(g, d).checks
+    ]
+
+
+def test_lemma_reports_a_detached_strand():
+    g = intervals_graph(3, [(1, 1), (1, 3), (2, 3)])
+    d = hand_built(g, [({1}, {1}), ({2}, {2, 3})], [{3}, ()])
+    assert clause_tuples(g, d) == [
+        (1, "strand-attached", False, "x3 has no neighbour in the chain's Y side"),
+        (1, "next-chain-linked", True, "y1 reaches x2 in chain 2"),
+        (1, "no-forward-reach", True, "no adjacency past the next strand"),
+        (2, "strand-attached", True, "all stranded vertices touch the chain"),
+        (2, "no-forward-reach", True, "no adjacency past the next strand"),
+    ]
+
+
+def test_lemma_reports_an_unlinked_next_chain():
+    g = intervals_graph(3, [(1, 2), (2, 3)])
+    d = hand_built(g, [({1}, {1}), ({2}, {2, 3})], [(), ()])
+    assert clause_tuples(g, d) == [
+        (1, "strand-attached", True, "all stranded vertices touch the chain"),
+        (1, "next-chain-linked", False, "y1 has no neighbour in chain 2"),
+        (1, "no-forward-reach", True, "no adjacency past the next strand"),
+        (2, "strand-attached", True, "all stranded vertices touch the chain"),
+        (2, "no-forward-reach", True, "no adjacency past the next strand"),
+    ]
+
+
+def test_lemma_reports_a_leak_into_the_next_strand():
+    g = intervals_graph(3, [(1, 1), (1, 3), (1, 2)])
+    d = hand_built(g, [({1}, {1}), ({2}, {2, 3})], [(), {3}])
+    assert clause_tuples(g, d) == [
+        (1, "strand-attached", True, "all stranded vertices touch the chain"),
+        (1, "next-chain-linked", True, "y1 reaches x2 in chain 2"),
+        (1, "no-forward-reach", False, "y1~x3 (strand 2)"),
+        (2, "strand-attached", True, "all stranded vertices touch the chain"),
+        (2, "no-forward-reach", True, "no adjacency past the next strand"),
+    ]
+
+
+def test_lemma_reports_a_y_leak_two_chains_ahead():
+    g = intervals_graph(3, [(1, 1), (1, 2), (1, 3)])
+    d = hand_built(g, [({1}, {1}), ({2}, {2}), ({3}, {3})], [(), (), ()])
+    assert clause_tuples(g, d) == [
+        (1, "strand-attached", True, "all stranded vertices touch the chain"),
+        (1, "next-chain-linked", True, "y1 reaches x2 in chain 2"),
+        (1, "no-forward-reach", False, "y1~x3 (chain 3)"),
+        (2, "strand-attached", True, "all stranded vertices touch the chain"),
+        (2, "next-chain-linked", True, "y2 reaches x3 in chain 3"),
+        (2, "no-forward-reach", True, "no adjacency past the next strand"),
+        (3, "strand-attached", True, "all stranded vertices touch the chain"),
+        (3, "no-forward-reach", True, "no adjacency past the next strand"),
+    ]
+
+
+def test_lemma_reports_an_x_leak_two_chains_ahead():
+    g = intervals_graph(3, [(1, 3), (1, 2), (2, 3)])
+    d = hand_built(g, [({1}, {1}), ({2}, {2}), ({3}, {3})], [(), (), ()])
+    assert clause_tuples(g, d) == [
+        (1, "strand-attached", True, "all stranded vertices touch the chain"),
+        (1, "next-chain-linked", True, "y1 reaches x2 in chain 2"),
+        (1, "no-forward-reach", False, "x1~y3 (chain 3)"),
+        (2, "strand-attached", True, "all stranded vertices touch the chain"),
+        (2, "next-chain-linked", True, "y2 reaches x3 in chain 3"),
+        (2, "no-forward-reach", True, "no adjacency past the next strand"),
+        (3, "strand-attached", True, "all stranded vertices touch the chain"),
+        (3, "no-forward-reach", True, "no adjacency past the next strand"),
+    ]
+
+
+def test_lemma_joins_several_leaks_in_string_order():
+    # Sorted as strings, so x before y and y10 before y8.
+    g = intervals_graph(12, [(1, 12), (10, 11), (9, 11), (8, 12)])
+    d = hand_built(g, [({1}, range(1, 11)), ({2}, {11}), ({4}, {12})], [(), {3}, ()])
+    assert clause_tuples(g, d) == [
+        (1, "strand-attached", True, "all stranded vertices touch the chain"),
+        (1, "next-chain-linked", True, "y10 reaches x2 in chain 2"),
+        (
+            1,
+            "no-forward-reach",
+            False,
+            "x1~y12 (chain 3); y10~x3 (strand 2); y10~x4 (chain 3); "
+            "y8~x4 (chain 3); y9~x3 (strand 2); y9~x4 (chain 3)",
+        ),
+        (2, "strand-attached", True, "all stranded vertices touch the chain"),
+        (2, "next-chain-linked", True, "y11 reaches x4 in chain 3"),
+        (2, "no-forward-reach", True, "no adjacency past the next strand"),
+        (3, "strand-attached", True, "all stranded vertices touch the chain"),
+        (3, "no-forward-reach", True, "no adjacency past the next strand"),
+    ]
+
+
+def test_lemma_rejects_a_chain_with_an_empty_side(p8):
+    # P_8's chains are ({x1, x2}, {y1, y2}) and ({x3, x4}, {y3, y4}); moving
+    # chain 1's Y side into chain 2 keeps the partition intact.
+    d = decompose(p8, ordered(p8))
+    (hx1, hy1), (hx2, hy2) = d.chains
+    broken = replace(d, chains=((hx1, frozenset()), (hx2, hy1 | hy2)))
+    with pytest.raises(ContractError, match="chain 1 has an empty side"):
+        verify_decomposition_lemma(p8, broken)
+
+
+def test_partition_error_names_the_least_foreign_vertex_under_every_hash_seed():
+    # P_4's chain 1 gains x5, x9 and y3, and its tail x11; the message must
+    # not depend on the iteration order of string-hashed sets, nor on which
+    # part is read first.
+    script = (
+        "from dataclasses import replace\n"
+        "from veds import ContractError, build_graph, compute_lex_convex_ordering, "
+        "decompose, verify_decomposition_lemma, xref\n"
+        "g = build_graph(2, 2, [(1, 1), (2, 1), (2, 2)])\n"
+        "d = decompose(g, compute_lex_convex_ordering(g, (1, 2)))\n"
+        "(hx, hy), = d.chains\n"
+        "d = replace(d, chains=((hx | {5, 9}, hy | {3}),), tail_isolated=frozenset({xref(11)}))\n"
+        "try:\n"
+        "    verify_decomposition_lemma(g, d)\n"
+        "except ContractError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(veds.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in range(1, 7):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            "PYTHONHASHSEED": str(seed),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        outputs.add((done.returncode, done.stdout, done.stderr))
+    assert outputs == {(0, "decomposition mentions x5, which the graph lacks\n", "")}
+
+
+def _mutate(g, d, rng):
+    """d with one seeded fault: a vertex moved to another part, two chains'
+    Y sides swapped, a vertex mentioned twice, or a foreign vertex added.
+    No chain side is left empty."""
+    xs = [set(hx) for hx, _ in d.chains]
+    ys = [set(hy) for _, hy in d.chains]
+    strands = [set(js) for js in d.isolated_sets]
+    tail = set(d.tail_isolated)
+    k = len(xs)
+    while True:
+        kind = rng.randrange(6)
+        if kind == 0:  # an X vertex moves to another chain, a strand or the tail
+            sources = [p for p in xs if len(p) > 1] + [p for p in strands if p]
+            if not sources:
+                continue
+            src = rng.choice(sources)
+            v = rng.choice(sorted(src))
+            src.remove(v)
+            dst = rng.randrange(2 * k + 1)
+            if dst == 2 * k:
+                tail.add(xref(v))
+            else:
+                (xs + strands)[dst].add(v)
+        elif kind == 1:  # a Y vertex moves to another chain or the tail
+            sources = [p for p in ys if len(p) > 1]
+            if not sources:
+                continue
+            src = rng.choice(sources)
+            v = rng.choice(sorted(src))
+            src.remove(v)
+            dst = rng.randrange(k + 1)
+            if dst == k:
+                tail.add(yref(v))
+            else:
+                ys[dst].add(v)
+        elif kind in (2, 3):  # two chains swap Y sides
+            if k < 2:
+                continue
+            a, b = rng.sample(range(k), 2)
+            ys[a], ys[b] = ys[b], ys[a]
+        elif kind == 4:  # a vertex is mentioned twice
+            if rng.random() < 0.5:
+                rng.choice(xs + strands).add(rng.randint(1, g.n1))
+            else:
+                rng.choice(ys).add(rng.randint(1, g.n2))
+        else:  # a vertex the graph lacks
+            side = rng.choice("xy")
+            n = g.n1 if side == "x" else g.n2
+            v = rng.choice([0, n + 1, n + rng.randint(2, 9)])
+            (rng.choice(xs) if side == "x" else rng.choice(ys)).add(v)
+        break
+    return replace(
+        d,
+        chains=tuple((frozenset(hx), frozenset(hy)) for hx, hy in zip(xs, ys)),
+        isolated_sets=tuple(map(frozenset, strands)),
+        tail_isolated=frozenset(tail),
+    )
+
+
+def test_mutated_decomposition_digest():
+    # sha256 over one line per mutation (2400 of them, of Y-relabelled
+    # chains and paths): the (chain, clause, ok, detail) tuples and the
+    # verdict, or the ContractError text.  Pinned with the lemma check that
+    # built a VertexRef set per part and a set per vertex.
+    rng = random.Random(2611)
+    h = hashlib.sha256()
+    failing = 0
+    for k in range(120):
+        base = chain_graph(rng.randint(3, 40), rng) if k % 2 else path_graph(rng.randint(4, 60))
+        g, sigma = relabel_y(base, rng)
+        d = decompose(g, compute_lex_convex_ordering(g, sigma))
+        for _ in range(20):
+            try:
+                checks = clause_tuples(g, _mutate(g, d, rng))
+            except ContractError as exc:
+                line = f"error: {exc}"
+            else:
+                passed = all(ok for _, _, ok, _ in checks)
+                failing += not passed
+                line = repr((checks, passed))
+            h.update(line.encode() + b"\n")
+    assert failing >= 1000
+    assert h.hexdigest() == (
+        "9f4e9c9bf903ab530c915be8410d337728579bf3476f620c7b4ad26e7511ccf6"
     )

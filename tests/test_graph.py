@@ -8,14 +8,13 @@ from veds import (
     InputError,
     build_graph,
     connected_components,
-    induced_subgraph,
     is_ve_dominating_set,
     parse_vertex_name,
     xref,
     yref,
 )
 
-from conftest import naive_ve_dominates, random_convex_instance
+from conftest import induced_subgraph, naive_ve_dominates, random_convex_instance
 
 
 def small_graphs():
