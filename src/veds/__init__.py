@@ -67,6 +67,7 @@ from .reductions import (
 )
 from .solver import (
     SolveResult,
+    SolveStats,
     TraceStep,
     counterexample_graph,
     solve_baseline,

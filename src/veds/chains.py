@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError
 from .graph import BipartiteGraph, VertexRef
@@ -84,25 +84,21 @@ class _Component:
     """One connected piece of intervals and the tables its states read,
     shared by the exact solver and ``decompose``.
 
-    A state is asked for as (floor, start): ``front(start, floor)``, the
-    intervals containing start with left end > floor, plus every interval
-    starting after start.  The front is read off one window of ``entries``,
-    those with floor < left <= start, and kept in ``entries`` order.
-    ``entries`` are the piece's intervals, sorted, none starting before
-    ``ylo``, together covering [ylo, yhi]; ``lefts`` holds their left ends.
-    Built once, in O(n):
+    A state at ``start`` reads one window of ``entries``: from ``lo`` to
+    the first interval starting after start (``window`` below).  Its front
+    is the intervals of that window containing start, kept in ``entries``
+    order.  ``entries`` are the piece's intervals, sorted, none starting
+    before ``ylo``, together covering [ylo, yhi]; ``lefts`` holds their left
+    ends.  Built once, in O(n):
 
     - ``sufmin[i]``: the least right end in ``entries[i:]``;
     - ``cut[i]``: the largest boundary q <= yhi - 1 (between positions q and
       q + 1) that no interval of ``entries[i:]`` spans with left <= q < right.
       Intervals join only by overlap, so a boundary, not a position, is what
       separates two runs.
-
-    ``memo`` maps a state (start, first interval of its front, or None when
-    the front is empty) to the solver's (count, witness).
     """
 
-    __slots__ = ("entries", "lefts", "ylo", "yhi", "sufmin", "cut", "memo")
+    __slots__ = ("entries", "lefts", "ylo", "yhi", "sufmin", "cut")
 
     def __init__(self, entries: list[Interval], ylo: int, yhi: int) -> None:
         n = len(entries)
@@ -117,12 +113,19 @@ class _Component:
         self.lefts = [e[0] for e in entries]
         self.ylo, self.yhi = ylo, yhi
         self.sufmin, self.cut = sufmin, cut
-        self.memo: dict[tuple[int, Interval | None], tuple] = {}
 
-    def front(self, start: int, floor: int) -> list[Interval]:
-        lefts = self.lefts
-        window = self.entries[bisect_right(lefts, floor) : bisect_right(lefts, start)]
-        return [e for e in window if e[1] >= start]
+    def window(self, lo: int, start: int) -> tuple[int, int]:
+        """(f, b): ``entries[lo:b]`` is the window, b being the first
+        interval starting after start, and ``entries[f]`` is the first
+        interval of the window containing start (f = b when none does).
+        With lo the first interval starting after some floor < start, the
+        front is every interval with floor < left <= start <= right."""
+        entries = self.entries
+        b = bisect_right(self.lefts, start, lo)
+        f = lo
+        while f < b and entries[f][1] < start:
+            f += 1
+        return f, b
 
 
 def _nested(entries: list[Interval]) -> bool:
@@ -138,9 +141,9 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
     original vertex indices.  The peels are the exact solver's ``x_pivot``
     walk from the first Y position: each starts one past the previous
     chain's reach, and the last reach is the final Y position.  A round's
-    chain is ``front(start, floor)`` with the previous round's start as
-    floor, so the rounds read disjoint windows of the sorted intervals: each
-    interval enters at most one front.
+    window begins where the previous round's ended, past the intervals
+    starting by the previous start, so the rounds read disjoint windows of
+    the sorted intervals: each interval enters at most one front.
     """
     ensure_valid_lex_ordering(g, ordering)
     comp = _Component(list(ordering.intervals), 1, g.n2)
@@ -157,15 +160,15 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
     chains: list[tuple[frozenset[int], frozenset[int]]] = []
     strands: list[frozenset[int]] = []
     pivots: list[int] = []
-    floor, start = 0, 1
+    lo, start = 0, 1
     while start <= g.n2:
         # Every interval containing `start` starts after the previous start:
         # one containing both would have been in the previous front, whose
-        # farthest reach is start - 1.  So the floor drops none of this
+        # farthest reach is start - 1.  So the window drops none of this
         # chain's front.
-        front = comp.front(start, floor)
+        f, b = comp.window(lo, start)
+        front = [e for e in entries[f:b] if e[1] >= start]
         reach, pivot = max((e[1], e[2]) for e in front)
-        b = bisect_right(lefts, start)
         stranded = [e for e in entries[b : bisect_right(lefts, reach)] if e[1] <= reach]
         whole_is_chain = (
             reach == g.n2
@@ -179,14 +182,13 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
         chains.append((frozenset(e[2] for e in front), y_block))
         strands.append(frozenset(e[2] for e in stranded))
         pivots.append(pivot)
-        floor, start = start, reach + 1
+        lo, start = b, reach + 1
     return ChainDecomposition(
         tuple(chains), tuple(strands), tuple(pivots), frozenset(), ordering
     )
 
 
-@dataclass(frozen=True)
-class ClauseCheck:
+class ClauseCheck(NamedTuple):
     chain_index: int  # 1-based
     clause: str
     ok: bool

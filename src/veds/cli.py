@@ -80,7 +80,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         g, ordering = _ordering_for(args.file)
         if args.algorithm == "exact":
-            result = solve_exact(g, ordering)
+            result = solve_exact(g, ordering, trace=args.trace)
         else:
             result = solve_baseline(g, ordering)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -91,6 +91,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "algorithm": args.algorithm,
             "elapsed_ms": elapsed_ms,
         }
+        if result.stats is not None:
+            payload["stats"] = result.stats._asdict()
         if args.trace:
             payload["trace"] = [
                 {"subproblem": list(s.subproblem), "branch": s.branch, "chosen": s.chosen}

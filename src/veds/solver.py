@@ -5,20 +5,32 @@ The exact solver walks the ordering: either commit the farthest-reaching
 neighbour of the first Y vertex (an X pivot) and continue past everything it
 dominates, or commit a Y vertex that additionally covers every stranded X
 vertex of the first peel (a Y blanket) and continue past its reach; the
-smaller branch wins.  Universal vertices and edgeless remainders end a
-branch, disconnected remainders split and sum, and states are memoised per
+smaller branch wins, the pivot on a tie.  Universal vertices end a branch,
+disconnected remainders split and sum, and states are shared within a
 connected piece so the work stays polynomial.
 
-Inside a connected piece a state is asked for as (floor, start): its front,
-the intervals containing start with left end > floor, plus every interval
-starting after start.  The front is one window of the piece's sorted
-intervals (``chains._Component``, whose x_pivot walk is also ``decompose``),
-those with floor < left <= start; its largest and least (right, x) give the
-pivot and the label vertex.  Start and the front's first interval name the
-state and key the memo: floors that keep the same intervals share one state
-and one trace step.  Only a split builds an interval list.  States are
-evaluated on an explicit stack, so deep instances need no deep Python
-recursion and no change to the interpreter's recursion limit.
+A connected piece is a ``chains._Component``, whose x_pivot walk is also
+``decompose``.  A state is asked for by a request (start, lo): its front is
+the intervals of the window ``entries[lo:b]`` that contain start, b being
+the first interval starting after start, and it holds every interval
+starting after start too.  Start and the front's first interval name the
+state, so requests whose fronts agree share one state.
+
+Every child state starts strictly after its parent, so a piece is solved in
+two sweeps over flat tables.  The forward sweep takes requests in
+increasing start and records each new state's kind, committed vertices and
+child requests, filing each child under its start: the x_pivot child's
+window begins at the parent's b, the y_blanket child's at the first
+interval past the blanket.  A split files the root request of a fresh piece
+per run on a work list, so deep instances need no Python recursion.  The
+backward sweep fills in the counts in reverse discovery order, and the
+witness follows the chosen branches from the roots.
+
+``solve_exact(g, ordering, trace=True)`` also lists the decisions as
+``TraceStep``s, in the order a recursive evaluation finishes them: the
+x_pivot child first, each state once per piece, a split's runs in order.
+Without it no label is built.  ``SolveResult.stats`` holds counts read off
+the tables.
 
 The baseline solver picks one pivot per chain of the chain decomposition.
 It always yields a valid VED-set but is not always minimum;
@@ -30,7 +42,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Generator, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple
 
 from .chains import _Component, _coverage_runs, decompose
 from .errors import ContractError
@@ -39,6 +52,7 @@ from .ordering import Interval, LexConvexOrdering, ensure_valid_lex_ordering
 
 __all__ = [
     "TraceStep",
+    "SolveStats",
     "SolveResult",
     "solve_exact",
     "solve_baseline",
@@ -55,11 +69,27 @@ class TraceStep(NamedTuple):
     chosen: str | None
 
 
+class SolveStats(NamedTuple):
+    """Counts of one exact solve: distinct states, requests for them (memo
+    hits are requests - states), states by the branch they took, and the
+    connected pieces swept (the graph's components and the runs that splits
+    build)."""
+
+    states: int
+    requests: int
+    x_pivot: int
+    y_blanket: int
+    universal: int
+    split: int
+    components: int
+
+
 @dataclass(frozen=True)
 class SolveResult:
     gamma_ve: int
     witness: frozenset[VertexRef]
     trace: tuple[TraceStep, ...]
+    stats: SolveStats | None = None
 
 
 def counterexample_graph() -> BipartiteGraph:
@@ -68,150 +98,218 @@ def counterexample_graph() -> BipartiteGraph:
     return build_graph(3, 3, [(1, 1), (1, 2), (2, 2), (3, 2), (3, 3)])
 
 
-# A witness is a cons list of ("x", index) / ("y", position) items, flattened
-# once by solve_exact.
-_Witness = tuple[tuple[str, int], "_Witness"] | None
+_PIVOT, _UNIVERSAL, _SPLIT = 0, 1, 2  # state kinds; a _PIVOT state takes x_pivot or y_blanket
+_RIGHT_X = itemgetter(1, 2)
 
 
-_Request = tuple[_Component, int, int]  # (component, start, floor)
+class _Sweep:
+    """Flat tables of one exact solve, over every piece it sweeps.
 
-
-def _evaluate(
-    comp: _Component,
-    start: int,
-    front: list[Interval],
-    yname: Callable[[int], str],
-    trace: list[TraceStep],
-) -> Generator[_Request, tuple[int, _Witness], tuple[int, _Witness]]:
-    """Count and witness of the state holding ``front`` (the intervals of
-    ``comp.front(start, floor)``) and every interval starting after start.
-
-    Yields each child state it needs as (component, start, floor) and is sent
-    back that state's (count, witness); appends its own trace step last.
+    Request r asks for a state at some start whose window begins at
+    ``lo[r]``; the forward sweep resolves it to ``state[r]``.  State s is
+    ``rows[s]`` = (kind, pivot, Y position, x_pivot child request,
+    y_blanket child request), the Y position being the blanket or the
+    universal Y vertex; an unused vertex is 0 and an unused child -1.  A
+    split's run roots are ``runs[s]``.  Request 0 and state 0 stand for the
+    empty remainder (a split into no runs) that a blanket reaching past the
+    last interval leaves; ``stats`` counts neither.  With ``yname`` set,
+    ``labels[s]`` is state s's trace label.
     """
-    entries, lefts, sufmin = comp.entries, comp.lefts, comp.sufmin
-    n = len(entries)
-    b = bisect_right(lefts, start)  # entries[b:] start after `start`
-    if front:
-        first_reach, first_x = min((e[1], e[2]) for e in front)
-        reach, pivot = max((e[1], e[2]) for e in front)
-    elif b == n:
-        return 0, None
-    else:
-        first_x = entries[b][2]
-    label = (f"x{first_x}", yname(start))
-    if not front or comp.cut[b] >= reach:
-        # Disconnected, or not reaching yhi: solve each run as a fresh piece.
-        xs = sorted((start, e[1], e[2]) for e in front) + entries[b:]
-        count, witness = 0, None
-        for run, lo, hi in _coverage_runs(xs):
-            run_count, run_witness = yield _Component(run, lo, hi), lo, lo - 1
-            count += run_count
-            while run_witness is not None:
-                item, run_witness = run_witness
-                witness = (item, witness)
-        trace.append(TraceStep(label, "split", None))
-        return count, witness
 
-    if reach == comp.yhi:
-        # The pivot's interval spans the whole remaining Y side.
-        trace.append(TraceStep(label, "universal", f"x{pivot}"))
-        return 1, (("x", pivot), None)
-    # b < n here: with nothing starting after `start`, the front reaches yhi.
-    max_left = lefts[-1]
-    min_right = min(first_reach, sufmin[b])
-    if max_left <= min_right:
-        trace.append(TraceStep(label, "universal", yname(max_left)))
-        return 1, (("y", max_left), None)
+    def __init__(self, yname: Callable[[int], str] | None) -> None:
+        self.lo, self.state, self.after = [0], [0], [-1]
+        self.rows = [(_SPLIT, 0, 0, -1, -1)]
+        self.runs: dict[int, list[int]] = {0: []}
+        self.yname = yname
+        self.labels: list | None = [None] if yname else None
+        self.work: list[tuple[_Component, int]] = []
+        self.pieces = 0
 
-    # The blanket is the least right end; it covers exactly the intervals
-    # starting no later than it, so it fails iff a stranded interval (one
-    # ending within the pivot's reach) starts after it.
-    blanket = min_right
-    d = bisect_right(lefts, blanket)
-    # Every front interval ends by `reach`, so past it the intervals left of
-    # `start` are gone and `start` serves as the child's floor.
-    count, witness = yield comp, reach + 1, start
-    best_count = 1 + count
-    best_wit = (("x", pivot), witness)
-    best_branch = "x_pivot"
-    best_chosen = f"x{pivot}"
-    if sufmin[d] > reach:
-        count, witness = (yield comp, lefts[d], blanket) if d < n else (0, None)
-        if 1 + count < best_count:
-            best_count = 1 + count
-            best_wit = (("y", blanket), witness)
-            best_branch = "y_blanket"
-            best_chosen = yname(blanket)
-    trace.append(TraceStep(label, best_branch, best_chosen))
-    return best_count, best_wit
+    def request(self, lo: int, after: int = -1) -> int:
+        """A new request whose window begins at ``lo``, filed before ``after``."""
+        self.lo.append(lo)
+        self.state.append(0)
+        self.after.append(after)
+        return len(self.lo) - 1
 
+    def piece(self, entries: list[Interval], ylo: int, yhi: int) -> int:
+        """Queue a fresh piece and return its root request."""
+        rid = self.request(0)
+        self.work.append((_Component(entries, ylo, yhi), rid))
+        self.pieces += 1
+        return rid
 
-def _solve(
-    root: _Component,
-    yname: Callable[[int], str],
-    trace: list[TraceStep],
-    memoize: bool,
-) -> tuple[int, _Witness]:
-    """Evaluate ``root``'s first state on an explicit stack of suspended
-    ``_evaluate`` calls: each request (floor, start) is turned into its front
-    once and keyed by start and the front's first interval; memo hits are
-    answered at once, misses pushed."""
-    frames: list[tuple[Generator, dict, tuple[int, Interval | None]]] = []
-    request: _Request | None = (root, root.ylo, root.ylo - 1)
-    reply = None
-    while True:
-        if request is not None:
-            comp, start, floor = request
-            front = comp.front(start, floor)
-            key = (start, front[0] if front else None)
-            reply = comp.memo.get(key) if memoize else None
-            if reply is None:
-                frames.append((_evaluate(comp, start, front, yname, trace), comp.memo, key))
-        gen, memo, key = frames[-1]
-        try:
-            request = gen.send(reply)
-        except StopIteration as done:
-            frames.pop()
-            reply, request = done.value, None
-            if memoize:
-                memo[key] = reply
-            if not frames:
-                return reply
+    def forward(self) -> None:
+        """Sweep every queued piece, and the pieces its splits queue."""
+        while self.work:
+            self._sweep(*self.work.pop())
+
+    def _sweep(self, comp: _Component, root: int) -> None:
+        entries, lefts, sufmin, cut = comp.entries, comp.lefts, comp.sufmin, comp.cut
+        ylo, yhi, n, max_left = comp.ylo, comp.yhi, len(comp.entries), comp.lefts[-1]
+        req_lo, req_state, after, request = self.lo, self.state, self.after, self.request
+        rows, labels, yname = self.rows, self.labels, self.yname
+        # head[start - ylo]: the last request filed under start; each request
+        # links to the one filed before it through `after`.
+        head = [-1] * (yhi - ylo + 1)
+        head[0] = root
+        for start in range(ylo, yhi + 1):
+            rid = head[start - ylo]
+            if rid < 0:
+                continue
+            seen: dict[int, int] = {}  # first front interval -> state
+            while rid >= 0:
+                f, b = comp.window(req_lo[rid], start)
+                sid = seen.get(f)
+                if sid is None:
+                    sid = seen[f] = len(rows)
+                    # The front is never empty: a root's holds the interval at
+                    # ylo, an x_pivot child's the interval that keeps the
+                    # piece connected past reach, a y_blanket child's
+                    # entries[d].  Mostly it is the one interval entries[f].
+                    if b - f == 1:
+                        first = top = entries[f]
+                    else:
+                        front = [e for e in entries[f:b] if e[1] >= start]
+                        first, top = min(front, key=_RIGHT_X), max(front, key=_RIGHT_X)
+                    _, reach, pivot = top
+                    if labels is not None:
+                        labels.append((f"x{first[2]}", yname(start)))
+                    if cut[b] >= reach:
+                        # Disconnected, or not reaching yhi: each run is a
+                        # fresh piece.
+                        clipped = [(start, e[1], e[2]) for e in entries[f:b] if e[1] >= start]
+                        xs = sorted(clipped) + entries[b:]
+                        self.runs[sid] = [self.piece(*run) for run in _coverage_runs(xs)]
+                        rows.append((_SPLIT, 0, 0, -1, -1))
+                    elif reach == yhi:
+                        rows.append((_UNIVERSAL, pivot, 0, -1, -1))
+                    elif max_left <= first[1] and max_left <= sufmin[b]:
+                        rows.append((_UNIVERSAL, 0, max_left, -1, -1))
+                    else:
+                        # The blanket is the least right end; it covers
+                        # exactly the intervals starting no later than it, so
+                        # it fails iff a stranded interval (one ending within
+                        # the pivot's reach) starts after it.  Past reach the
+                        # intervals left of start are gone, so the x_pivot
+                        # child's window begins at b.
+                        blanket = min(first[1], sufmin[b])
+                        d = bisect_right(lefts, blanket, b)
+                        slot = reach + 1 - ylo
+                        xchild = head[slot] = request(b, head[slot])
+                        ychild = -1
+                        if sufmin[d] > reach:
+                            ychild = 0
+                            if d < n:
+                                slot = lefts[d] - ylo
+                                ychild = head[slot] = request(d, head[slot])
+                        rows.append((_PIVOT, pivot, blanket, xchild, ychild))
+                req_state[rid] = sid
+                rid = after[rid]
+
+    def backward(self) -> tuple[list[int], bytearray]:
+        """Each state's count, and whether it takes its blanket."""
+        rows, state, runs = self.rows, self.state, self.runs
+        count = [1] * len(rows)
+        blanket = bytearray(len(rows))
+        for sid in range(len(rows) - 1, -1, -1):
+            kind, _, _, xchild, ychild = rows[sid]
+            if kind == _PIVOT:
+                c = count[state[xchild]]
+                if ychild >= 0 and count[state[ychild]] < c:
+                    c = count[state[ychild]]
+                    blanket[sid] = 1
+                count[sid] = c + 1
+            elif kind == _SPLIT:
+                count[sid] = sum(count[state[r]] for r in runs[sid])
+        return count, blanket
+
+    def children(self, sid: int, blanket: bytearray, all_branches: bool) -> list[int]:
+        """States that ``sid`` reads: every one, or those on its chosen branch."""
+        kind, _, _, xchild, ychild = self.rows[sid]
+        state = self.state
+        if kind == _SPLIT:
+            return [state[r] for r in self.runs[sid]]
+        if kind == _UNIVERSAL:
+            return []
+        if all_branches:
+            return [state[xchild]] if ychild < 0 else [state[xchild], state[ychild]]
+        return [state[ychild] if blanket[sid] else state[xchild]]
+
+    def trace(self, roots: list[int], blanket: bytearray) -> Iterator[TraceStep]:
+        """Each state's step, in the post-order of a recursive evaluation
+        that memoises: x_pivot child first, a state's first visit only."""
+        rows, labels, yname = self.rows, self.labels, self.yname
+        done = bytearray(len(rows))
+        done[0] = 1
+        stack = [self.state[r] for r in reversed(roots)]
+        while stack:
+            sid = stack.pop()
+            if sid >= 0:
+                if not done[sid]:
+                    stack.append(~sid)  # its step, once its children are done
+                    stack.extend(reversed(self.children(sid, blanket, True)))
+                continue
+            sid = ~sid
+            if done[sid]:
+                continue
+            done[sid] = 1
+            kind, x, y, _, _ = rows[sid]
+            if kind == _SPLIT:
+                yield TraceStep(labels[sid], "split", None)
+            elif kind == _UNIVERSAL:
+                yield TraceStep(labels[sid], "universal", f"x{x}" if x else yname(y))
+            elif blanket[sid]:
+                yield TraceStep(labels[sid], "y_blanket", yname(y))
+            else:
+                yield TraceStep(labels[sid], "x_pivot", f"x{x}")
 
 
 def solve_exact(
-    g: BipartiteGraph, ordering: LexConvexOrdering, *, memoize: bool = True
+    g: BipartiteGraph, ordering: LexConvexOrdering, *, trace: bool = False
 ) -> SolveResult:
     """Minimum VED-set of a convex bipartite graph under a declared ordering.
 
     Disconnected graphs split into components (the count is additive).  The
     witness is checked with ``ordering.dominated_by`` before return, in
     O(n1 + n2); a failed check raises ContractError, under ``python -O`` too.
+    ``trace=True`` also returns the trace steps; ``stats`` is always set.
     """
     ensure_valid_lex_ordering(g, ordering)
     if not ordering.intervals:
-        return SolveResult(0, frozenset(), ())
+        return SolveResult(0, frozenset(), (), SolveStats(0, 0, 0, 0, 0, 0, 0))
+    yperm = ordering.yperm
 
     def yname(position: int) -> str:
-        return f"y{ordering.yperm[position - 1]}"
+        return f"y{yperm[position - 1]}"
 
-    trace: list[TraceStep] = []
-    total = 0
-    picked: list[tuple[str, int]] = []
-    for run, lo, hi in _coverage_runs(ordering.intervals):
-        count, witness = _solve(_Component(run, lo, hi), yname, trace, memoize)
-        total += count
-        while witness is not None:
-            item, witness = witness
-            picked.append(item)
-    witness_set = frozenset(
-        xref(idx) if side == "x" else yref(ordering.yperm[idx - 1])
-        for side, idx in picked
-    )
+    sweep = _Sweep(yname if trace else None)
+    roots = [sweep.piece(*run) for run in _coverage_runs(ordering.intervals)]
+    sweep.forward()
+    count, blanket = sweep.backward()
+    state, rows = sweep.state, sweep.rows
+
+    witness: list[VertexRef] = []
+    stack = [state[r] for r in roots]
+    while stack:
+        sid = stack.pop()
+        kind, x, y, _, _ = rows[sid]
+        if kind != _SPLIT:
+            witness.append(yref(yperm[y - 1]) if blanket[sid] or not x else xref(x))
+        stack += sweep.children(sid, blanket, False)
+    total = sum(count[state[r]] for r in roots)
+    witness_set = frozenset(witness)
     if len(witness_set) != total or not ordering.dominated_by(witness_set):
         raise ContractError(f"solve_exact built an invalid witness of size {total}")
-    return SolveResult(total, witness_set, tuple(trace))
+
+    kinds = [row[0] for row in rows]
+    pivots, blankets = kinds.count(_PIVOT), sum(blanket)
+    universal, splits = kinds.count(_UNIVERSAL), kinds.count(_SPLIT) - 1
+    stats = SolveStats(
+        len(rows) - 1, len(state) - 1, pivots - blankets, blankets, universal, splits, sweep.pieces
+    )
+    steps = tuple(sweep.trace(roots, blanket)) if trace else ()
+    return SolveResult(total, witness_set, steps, stats)
 
 
 def solve_baseline(g: BipartiteGraph, ordering: LexConvexOrdering) -> SolveResult:

@@ -11,6 +11,8 @@ from veds import (
     counterexample_graph,
     gen_random_convex_bipartite,
     identity_permutation,
+    xref,
+    yref,
 )
 
 
@@ -102,3 +104,69 @@ def random_convex_instance(rng: random.Random, max_side: int = 6, connected: boo
         except Exception:
             continue
         return g, compute_lex_convex_ordering(g, identity_permutation(g.n2))
+
+
+def _runs(intervals):
+    """Maximal overlap-connected runs of sorted intervals, as (run, lo, hi)."""
+    runs = []
+    for e in intervals:
+        if runs and e[0] <= runs[-1][2]:
+            runs[-1][0].append(e)
+            runs[-1][2] = max(runs[-1][2], e[1])
+        else:
+            runs.append([[e], e[0], e[1]])
+    return runs
+
+
+def unmemoised_solve(g, ordering):
+    """Reference exact solver: the solver's recursion on plain interval
+    lists, each request evaluated afresh, so a state asked for twice is
+    solved and traced twice.  A state is (start, alive, yhi): the intervals
+    still to dominate, those holding start first, and the last Y position of
+    its piece.  Returns (gamma_ve, witness, trace) like ``solve_exact(g,
+    ordering, trace=True)`` but without memoisation."""
+    from veds import TraceStep
+
+    def yname(p):
+        return f"y{ordering.yperm[p - 1]}"
+
+    trace = []
+
+    def solve(start, alive, yhi):
+        front = [e for e in alive if e[0] <= start]
+        rest = [e for e in alive if e[0] > start]
+        _, first_reach, first_x = min(front, key=lambda e: (e[1], e[2]))
+        _, reach, pivot = max(front, key=lambda e: (e[1], e[2]))
+        label = (f"x{first_x}", yname(start))
+        runs = _runs(sorted((start, e[1], e[2]) for e in front) + rest)
+        if len(runs) > 1 or runs[0][2] < yhi:
+            count, witness = 0, set()
+            for run, lo, hi in runs:
+                c, w = solve(lo, run, hi)
+                count, witness = count + c, witness | w
+            trace.append(TraceStep(label, "split", None))
+            return count, witness
+        if reach == yhi:
+            trace.append(TraceStep(label, "universal", f"x{pivot}"))
+            return 1, {xref(pivot)}
+        blanket = min(first_reach, min(e[1] for e in rest))
+        max_left = max(e[0] for e in rest)
+        if max_left <= blanket:
+            trace.append(TraceStep(label, "universal", yname(max_left)))
+            return 1, {yref(ordering.yperm[max_left - 1])}
+        count, witness = solve(reach + 1, [e for e in rest if e[1] > reach], yhi)
+        best = (count + 1, witness | {xref(pivot)}, "x_pivot", f"x{pivot}")
+        beyond = [e for e in rest if e[0] > blanket]
+        if all(e[1] > reach for e in beyond):
+            count, witness = solve(beyond[0][0], beyond, yhi) if beyond else (0, set())
+            if count + 1 < best[0]:
+                y = yref(ordering.yperm[blanket - 1])
+                best = (count + 1, witness | {y}, "y_blanket", yname(blanket))
+        trace.append(TraceStep(label, best[2], best[3]))
+        return best[:2]
+
+    total, witness = 0, set()
+    for run, lo, hi in _runs(sorted(ordering.intervals)):
+        c, w = solve(lo, run, hi)
+        total, witness = total + c, witness | w
+    return total, frozenset(witness), tuple(trace)

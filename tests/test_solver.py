@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from bisect import bisect_right
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -28,7 +29,14 @@ from veds import (
     yref,
 )
 
-from conftest import complete, naive_ve_dominates, ordered, random_convex_instance, relabel_y
+from conftest import (
+    complete,
+    naive_ve_dominates,
+    ordered,
+    random_convex_instance,
+    relabel_y,
+    unmemoised_solve,
+)
 
 
 def exhaustive_gamma(g):
@@ -42,14 +50,14 @@ def exhaustive_gamma(g):
 
 
 def test_exact_counterexample(counterexample):
-    r = solve_exact(counterexample, ordered(counterexample))
+    r = solve_exact(counterexample, ordered(counterexample), trace=True)
     assert r.gamma_ve == 1
     assert r.witness == {yref(2)}
     assert r.trace[-1].branch == "universal"
 
 
 def test_exact_p8(p8):
-    r = solve_exact(p8, ordered(p8))
+    r = solve_exact(p8, ordered(p8), trace=True)
     assert r.gamma_ve == 2
     assert r.trace[-1] == (("x1", "y1"), "x_pivot", "x2")
 
@@ -223,10 +231,7 @@ def test_memoized_equals_unmemoized():
     rng = random.Random(107)
     for _ in range(80):
         g, ordv = random_convex_instance(rng, max_side=6)
-        assert (
-            solve_exact(g, ordv).gamma_ve
-            == solve_exact(g, ordv, memoize=False).gamma_ve
-        )
+        assert solve_exact(g, ordv).gamma_ve == unmemoised_solve(g, ordv)[0]
 
 
 def test_witness_contract_and_baseline_dominance():
@@ -305,7 +310,7 @@ def test_trace_branches_and_chosen_names_wellformed():
     allowed = {"universal", "x_pivot", "y_blanket", "split"}
     for _ in range(60):
         g, ordv = random_convex_instance(rng, max_side=6)
-        r = solve_exact(g, ordv)
+        r = solve_exact(g, ordv, trace=True)
         for step in r.trace:
             assert step.branch in allowed
             if step.branch == "split":
@@ -367,7 +372,7 @@ def solve_digest(instances, steps=list):
     witness names, ``steps`` of the trace steps as plain tuples)."""
     h = hashlib.sha256()
     for g, ordv in instances:
-        r = solve_exact(g, ordv)
+        r = solve_exact(g, ordv, trace=True)
         line = (r.gamma_ve, sorted(v.name() for v in r.witness), steps(tuple(s) for s in r.trace))
         h.update(repr(line).encode() + b"\n")
     return h.hexdigest()
@@ -394,6 +399,28 @@ def test_golden_trace_digest():
     )
 
 
+def test_trace_off_gives_the_same_answer_and_stats_tally_the_trace():
+    # Without trace=True the solve builds no steps but returns the same
+    # count and witness; its stats are the branch tally of the full trace,
+    # one step per state, and the requests answered from shared states.
+    for g, ordv in golden_instances():
+        plain, traced = solve_exact(g, ordv), solve_exact(g, ordv, trace=True)
+        assert plain.trace == ()
+        assert (plain.gamma_ve, plain.witness) == (traced.gamma_ve, traced.witness)
+        stats = plain.stats
+        assert stats == traced.stats
+        tally = Counter(step.branch for step in traced.trace)
+        assert stats.states == len(traced.trace)
+        assert (stats.x_pivot, stats.y_blanket, stats.universal, stats.split) == (
+            tally["x_pivot"], tally["y_blanket"], tally["universal"], tally["split"]
+        )
+        assert stats.requests >= stats.states
+        # Each split adds at least one piece to the graph's components.
+        components = len(chains._coverage_runs(ordv.intervals))
+        assert components + stats.split <= stats.components
+        assert stats.split or stats.components == components
+
+
 def test_split_states_agree_with_brute_force_and_unmemoised():
     # A nested split is rare (about 13 in 2000 draws) and is the only kind
     # of state that still builds interval lists: draw until 50 instances
@@ -404,12 +431,11 @@ def test_split_states_agree_with_brute_force_and_unmemoised():
         g, _ = random_convex_instance(rng, max_side=8)
         g, sigma = relabel_y(g, rng)
         ordv = compute_lex_convex_ordering(g, sigma)
-        r = solve_exact(g, ordv)
+        r = solve_exact(g, ordv, trace=True)
         if not any(step.branch == "split" for step in r.trace):
             continue
         assert r.gamma_ve == brute_force_gamma_ve(g).gamma_ve
-        plain = solve_exact(g, ordv, memoize=False)
-        assert (plain.gamma_ve, plain.witness) == (r.gamma_ve, r.witness)
+        assert unmemoised_solve(g, ordv)[:2] == (r.gamma_ve, r.witness)
         found += 1
         if found == 50:
             break
@@ -478,20 +504,21 @@ def small_interval_graph(rng):
 
 
 def test_memoised_trace_is_the_unmemoised_one_without_repeats():
-    # Each state is evaluated once and gives what memoize=False gives for it:
-    # the same answer, and a trace that only drops repeated steps.  Draw
-    # until 30 instances have a nested split (about 2 in 100 draws).
+    # Each state is evaluated once and gives what the unmemoised reference
+    # gives for it: the same answer, and a trace that only drops repeated
+    # steps.  Draw until 30 instances have a nested split (about 2 in 100
+    # draws).
     rng = random.Random(139)
     split_seen = 0
     for _ in range(10000):
         g, sigma = small_interval_graph(rng)
         ordv = compute_lex_convex_ordering(g, sigma)
-        r = solve_exact(g, ordv)
-        plain = solve_exact(g, ordv, memoize=False)
-        assert (r.gamma_ve, r.witness) == (plain.gamma_ve, plain.witness)
-        rest = iter(plain.trace)
+        r = solve_exact(g, ordv, trace=True)
+        gamma, witness, plain_trace = unmemoised_solve(g, ordv)
+        assert (r.gamma_ve, r.witness) == (gamma, witness)
+        rest = iter(plain_trace)
         assert all(step in rest for step in r.trace)
-        assert set(r.trace) == set(plain.trace)
+        assert set(r.trace) == set(plain_trace)
         split_seen += any(step.branch == "split" for step in r.trace)
         if split_seen == 30:
             break
@@ -500,18 +527,19 @@ def test_memoised_trace_is_the_unmemoised_one_without_repeats():
 
 def test_sparse_trace_length_is_linear(monkeypatch):
     # Count-based growth checks on the deep sparse families, each also under
-    # a random Y labelling.  One trace step per distinct state, at most
-    # 2 * n2 of them.  The windows of entries the fronts read hold at most
-    # 8 intervals per interval over a solve and 1 over a decomposition, whose
-    # rounds read disjoint windows.  Paths also check gamma_ve(P_k) = (k+2)//4.
+    # a random Y labelling.  At most 2 * n2 distinct states.  The windows of
+    # entries that requests read hold at most 8 intervals per interval over
+    # a solve and 1 over a decomposition, whose rounds read disjoint
+    # windows.  Paths also check gamma_ve(P_k) = (k+2)//4.
     read = [0]
-    front = chains._Component.front
+    window = chains._Component.window
 
-    def counted_front(comp, start, floor):
-        read[0] += bisect_right(comp.lefts, start) - bisect_right(comp.lefts, floor)
-        return front(comp, start, floor)
+    def counted_window(comp, lo, start):
+        f, b = window(comp, lo, start)
+        read[0] += b - lo
+        return f, b
 
-    monkeypatch.setattr(chains._Component, "front", counted_front)
+    monkeypatch.setattr(chains._Component, "window", counted_window)
     rng, relabel_rng = random.Random(137), random.Random(139)
     cases = [(path_graph(2 * n), 2 * n) for n in (100, 200, 400, 800)]
     cases += [(chain_graph(n1, rng), None) for n1 in (110, 220, 440, 880)]
@@ -521,21 +549,26 @@ def test_sparse_trace_length_is_linear(monkeypatch):
             read[0] = 0
             r = solve_exact(g, ordv)
             assert k is None or r.gamma_ve == (k + 2) // 4
-            assert len(r.trace) <= 2 * g.n2
+            assert r.stats.states <= 2 * g.n2
             assert read[0] <= 8 * len(ordv.intervals)
             read[0] = 0
             decompose(g, ordv)
             assert read[0] <= len(ordv.intervals)
 
-    # front(start, floor) is the definition, for every floor < start.
+    # The window from the first interval past floor gives the front by its
+    # definition, for every floor < start: entries[f] is its first interval.
     rng, pieces = random.Random(149), 0
     while pieces < 300:
         g = short_interval_graph(rng)
-        for run, lo, hi in chains._coverage_runs(ordered(g).intervals):
-            comp = chains._Component(run, lo, hi)
-            for start in range(lo, hi + 1):
+        for run, ylo, yhi in chains._coverage_runs(ordered(g).intervals):
+            comp = chains._Component(run, ylo, yhi)
+            for start in range(ylo, yhi + 1):
                 for floor in range(start):
-                    assert front(comp, start, floor) == [
+                    lo = bisect_right(comp.lefts, floor)
+                    f, b = window(comp, lo, start)
+                    assert b == bisect_right(comp.lefts, start)
+                    assert all(e[1] < start for e in run[lo:f])
+                    assert [e for e in run[f:b] if e[1] >= start] == [
                         e for e in run if floor < e[0] <= start <= e[1]
                     ]
             pieces += 1
