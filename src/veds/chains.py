@@ -18,7 +18,6 @@ adjacency list per vertex, in O(n + m).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(NamedTuple):
     """Alternating sequence of chain subgraphs and stranded X-vertex sets.
 
     ``chains[i]`` is the (X, Y) vertex pair of the i-th chain (original
@@ -195,8 +193,7 @@ class ClauseCheck(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
-class DecompositionLemmaReport:
+class DecompositionLemmaReport(NamedTuple):
     checks: tuple[ClauseCheck, ...]
 
     @property

@@ -9,7 +9,6 @@ is ve-dominated by some member of D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError
@@ -57,8 +56,7 @@ def parse_vertex_name(text: str) -> VertexRef:
     return VertexRef(text[0], index)
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(NamedTuple):
     """Immutable bipartite graph with adjacency stored sorted on both sides.
 
     ``adj_x[i - 1]`` is the ascending tuple of Y-indices adjacent to ``x_i``;

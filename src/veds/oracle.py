@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chains import _coverage_runs
@@ -91,8 +90,7 @@ def brute_force_min_cover(ss: SetSystem) -> frozenset[int] | None:
     return frozenset(k + 1 for k in _least_cover(masks, full, ss.q))
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(NamedTuple):
     """Knobs for the seeded convex-instance generator; identical configs
     reproduce identical instances."""
 
@@ -157,8 +155,7 @@ class Disagreement(NamedTuple):
     got: int
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     trials: int
     agreements: int
     disagreements: tuple[Disagreement, ...]

@@ -9,7 +9,6 @@ the combined structure is what the solver and decomposition consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
@@ -80,38 +79,62 @@ def validate_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> Convexi
     return _intervals(g, _positions(yperm, g.n2))[1]
 
 
-@dataclass(frozen=True)
 class LexConvexOrdering:
     """A convex ordering of Y plus the lexicographic re-ordering of X, tied to
     the graph it was built from.
 
-    Only ``graph`` and ``yperm`` are inputs.  Construction checks convexity
-    (InputError on a gap) and derives the other fields in the same pass, so
-    an ordering always agrees with its graph.
+    Only ``graph`` and ``yperm`` are inputs.  Every way of building one
+    checks convexity (InputError on a gap) and derives the other fields in
+    the same pass: a direct call, ``_replace``, ``_make``, ``pickle`` and
+    ``copy``.  Fields cannot be assigned, so an ordering always agrees with
+    its graph.  Equality and hashing read ``graph`` and ``yperm``; the repr
+    shows ``yperm`` only.  Unlike the other records it is not a NamedTuple,
+    whose every field would be a constructor argument.
 
     ``intervals`` lists ``(left, right, x)`` Y-position intervals of the
     non-isolated X vertices in lexicographic order; it is all the solvers
     and the decomposition read.  ``y_position(j)`` is the position of y_j.
     """
 
-    graph: BipartiteGraph = field(repr=False)
-    yperm: tuple[int, ...]
-    intervals: tuple[Interval, ...] = field(init=False, repr=False, compare=False)
-    _ypos: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("graph", "yperm", "intervals", "_ypos")
 
-    def __post_init__(self) -> None:
-        g = self.graph
-        ypos = _positions(self.yperm, g.n2)
-        found, check = _intervals(g, ypos)
+    def __init__(self, graph: BipartiteGraph, yperm: Sequence[int]) -> None:
+        ypos = _positions(yperm, graph.n2)
+        found, check = _intervals(graph, ypos)
         if not check.ok:
             raise InputError(
                 f"yperm is not a convex ordering: N(x{check.violator}) has a gap "
                 f"at position {check.gap_position}"
             )
         found.sort()
-        object.__setattr__(self, "yperm", tuple(self.yperm))
-        object.__setattr__(self, "intervals", tuple(found))
-        object.__setattr__(self, "_ypos", tuple(ypos))
+        for name, value in zip(self.__slots__, (graph, tuple(yperm), tuple(found), tuple(ypos))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of LexConvexOrdering")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.yperm) == (other.graph, other.yperm)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.yperm))
+
+    def __repr__(self) -> str:
+        return f"LexConvexOrdering(yperm={self.yperm!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.graph, self.yperm)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> LexConvexOrdering:
+        return cls(*fields)
+
+    def _replace(self, **changes: object) -> LexConvexOrdering:
+        return type(self)(**{"graph": self.graph, "yperm": self.yperm, **changes})
 
     def y_position(self, j: int) -> int:
         return self._ypos[j]
@@ -208,10 +231,11 @@ def find_convex_ordering_exhaustive(g: BipartiteGraph) -> tuple[int, ...] | None
 def ensure_valid_lex_ordering(g: BipartiteGraph, ordering: LexConvexOrdering) -> None:
     """Check that an ordering is paired with the graph it was built from.
 
-    A LexConvexOrdering is validated when it is built and derives all its
-    fields from its own graph, so the only way to misuse one is to hand it
-    to a function together with a different graph.  Raises ContractError
-    when ``ordering.graph`` is not equal to g.
+    A LexConvexOrdering is validated however it is built (a direct call,
+    ``_replace``, ``_make``, ``pickle`` or ``copy``), its fields cannot be
+    assigned, and it derives all of them from its own graph, so the only
+    way to misuse one is to hand it to a function together with a different
+    graph.  Raises ContractError when ``ordering.graph`` is not equal to g.
     """
     if ordering.graph != g:
         raise ContractError("the ordering was built for a different graph")

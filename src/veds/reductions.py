@@ -14,7 +14,6 @@ VED-set of size t + 1, in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
@@ -42,22 +41,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SetSystem:
-    """A universe 1..universe and a family of nonempty subsets of it."""
-
+class _SetSystemFields(NamedTuple):
     universe: int
     sets: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        if self.universe < 1:
-            raise InputError(f"universe size must be at least 1, got {self.universe}")
-        for k, s in enumerate(self.sets, start=1):
+
+class SetSystem(_SetSystemFields):
+    """A universe 1..universe and a family of nonempty subsets of it.
+
+    Every way of building one checks both fields (InputError): a direct
+    call, ``_replace``, ``_make``, ``pickle`` and ``copy``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, universe: int, sets: tuple[frozenset[int], ...]) -> SetSystem:
+        if universe < 1:
+            raise InputError(f"universe size must be at least 1, got {universe}")
+        for k, s in enumerate(sets, start=1):
             if not s:
                 raise InputError(f"set {k} is empty")
             for e in s:
-                if not 1 <= e <= self.universe:
+                if not 1 <= e <= universe:
                     raise InputError(f"set {k} contains out-of-range element {e}")
+        return super().__new__(cls, universe, sets)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> SetSystem:
+        return cls(*fields)
 
     @property
     def q(self) -> int:
@@ -78,8 +89,7 @@ class SetSystem:
         return len(chosen) == self.universe
 
 
-@dataclass(frozen=True)
-class TreeCertificate:
+class TreeCertificate(NamedTuple):
     """Witness tree over the X side: a star (one centre) or a comb (a path
     backbone with exactly one pendant tooth per backbone vertex)."""
 
@@ -90,8 +100,7 @@ class TreeCertificate:
     teeth: tuple[tuple[int, int], ...] = ()  # (backbone vertex, tooth) pairs
 
 
-@dataclass(frozen=True)
-class ReductionArtifact:
+class ReductionArtifact(NamedTuple):
     """A reduced graph, its witness tree, the role of every vertex, and the
     set system it came from.  ``coverless`` flags systems whose universe is
     not fully covered by the family (the correspondence needs a cover)."""

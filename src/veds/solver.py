@@ -41,7 +41,6 @@ vertices while the optimum is one.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
@@ -84,8 +83,7 @@ class SolveStats(NamedTuple):
     components: int
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     gamma_ve: int
     witness: frozenset[VertexRef]
     trace: tuple[TraceStep, ...]

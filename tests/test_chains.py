@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -328,7 +327,7 @@ def test_lemma_rejects_a_chain_with_an_empty_side(p8):
     # chain 1's Y side into chain 2 keeps the partition intact.
     d = decompose(p8, ordered(p8))
     (hx1, hy1), (hx2, hy2) = d.chains
-    broken = replace(d, chains=((hx1, frozenset()), (hx2, hy1 | hy2)))
+    broken = d._replace(chains=((hx1, frozenset()), (hx2, hy1 | hy2)))
     with pytest.raises(ContractError, match="chain 1 has an empty side"):
         verify_decomposition_lemma(p8, broken)
 
@@ -338,13 +337,12 @@ def test_partition_error_names_the_least_foreign_vertex_under_every_hash_seed():
     # not depend on the iteration order of string-hashed sets, nor on which
     # part is read first.
     script = (
-        "from dataclasses import replace\n"
         "from veds import ContractError, build_graph, compute_lex_convex_ordering, "
         "decompose, verify_decomposition_lemma, xref\n"
         "g = build_graph(2, 2, [(1, 1), (2, 1), (2, 2)])\n"
         "d = decompose(g, compute_lex_convex_ordering(g, (1, 2)))\n"
         "(hx, hy), = d.chains\n"
-        "d = replace(d, chains=((hx | {5, 9}, hy | {3}),), tail_isolated=frozenset({xref(11)}))\n"
+        "d = d._replace(chains=((hx | {5, 9}, hy | {3}),), tail_isolated=frozenset({xref(11)}))\n"
         "try:\n"
         "    verify_decomposition_lemma(g, d)\n"
         "except ContractError as exc:\n"
@@ -416,8 +414,7 @@ def _mutate(g, d, rng):
             v = rng.choice([0, n + 1, n + rng.randint(2, 9)])
             (rng.choice(xs) if side == "x" else rng.choice(ys)).add(v)
         break
-    return replace(
-        d,
+    return d._replace(
         chains=tuple((frozenset(hx), frozenset(hy)) for hx, hy in zip(xs, ys)),
         isolated_sets=tuple(map(frozenset, strands)),
         tail_isolated=frozenset(tail),
