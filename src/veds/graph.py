@@ -9,6 +9,8 @@ is ve-dominated by some member of D.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError
@@ -133,11 +135,14 @@ def _from_rows(n2: int, rows: list[list[int]]) -> BipartiteGraph:
     """The graph whose x_i is adjacent to the Y-indices in ``rows[i - 1]``.
 
     Rows may hold duplicates in any order, but every index must lie in
-    1..n2.  Each row is sorted and deduplicated once; ``adj_y`` is filled by
-    sweeping the sorted rows in X order, so its lists come out ascending
-    without a second sort.
+    1..n2.  A row that is not already strictly ascending is sorted and
+    deduplicated once; ``adj_y`` is filled by sweeping the rows in X order,
+    so its lists come out ascending without a second sort.
     """
-    adj_x = tuple(tuple(sorted(set(row))) for row in rows)
+    adj_x = tuple(
+        tuple(row) if all(map(lt, row, islice(row, 1, None))) else tuple(sorted(set(row)))
+        for row in rows
+    )
     cols: list[list[int]] = [[] for _ in range(n2)]
     for i, nb in enumerate(adj_x, start=1):
         for j in nb:

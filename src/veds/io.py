@@ -13,18 +13,35 @@ Set-system format:
 
 Canonical output is sorted and round-trips bit-exactly.
 
-``parse_graph_text`` reads the lines once.  Each distinct index token goes
-through ``int()`` once, and each edge is range-checked as it is read.  The
-adjacency then costs one sort per X vertex and one sweep that fills the Y
-side, so a file of L lines and m edges reads in O(L + n1 + n2 + m log d),
-where d is the largest X degree.
+``parse_graph_text`` reads text exactly as ``format_graph_text`` writes it in
+bulk: a ``graph <n1> <n2>`` line, then ``edge <i> <j>`` lines with ``i``
+non-decreasing, then at most one ``yorder`` line, last; plain ASCII decimals
+with no sign and no leading zero, single spaces, ``\n`` line ends and no
+comments.  Whole-string operations check that shape over the whole file
+before anything is decoded, then one ``json.loads`` decodes each slice of at
+most 64 KiB of edge lines, and every index goes through a
+``list(range(n + 1))`` table, so the graph holds one int object per index.
+Any other text, a malformed one included, goes through the line loop, which
+reads the lines once and words every error; only a digit inside ``edge``,
+an empty or out-of-range index, or X out of order is found after the bulk
+reader has decoded.  Both run in O(L + n1 + n2 + m) time for a file of L
+characters and m edges whose rows come ascending, plus one sort per X vertex
+whose row does not; the bulk reader needs O(64 KiB + n1 + n2 + m) memory
+besides the text.
+
+A graph header may declare at most ``MAX_DECLARED`` vertices and a set system
+a universe of at most that size (``CapacityError``), so a short file cannot
+make the readers allocate without bound.
 """
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_left
+from itertools import islice
 from pathlib import Path
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .graph import BipartiteGraph, _from_rows
 from .reductions import SetSystem
 
@@ -36,6 +53,10 @@ __all__ = [
     "format_set_system_text",
     "load_set_system",
 ]
+
+MAX_DECLARED = 10**7
+_CHUNK = 1 << 16
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def _meaningful_lines(text: str) -> list[tuple[int, str]]:
@@ -56,6 +77,79 @@ def _ints(parts: list[str], lineno: int) -> list[int]:
 
 def parse_graph_text(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
     """Parse the graph format; returns the graph and the declared yorder, if any."""
+    return _read_canonical(text) or _read_lines(text)
+
+
+def _decimals(line: str, keyword: str) -> list[int] | None:
+    """The integers after ``keyword`` when ``line`` is exactly ``keyword``
+    followed by their decimal forms joined by single spaces, else None."""
+    if not line.startswith(keyword):
+        return None
+    tail = line[len(keyword):]
+    try:
+        values = list(map(int, tail.split(" "))) if tail else []
+    except ValueError:
+        return None
+    return values if keyword + " ".join(map(str, values)) == line else None
+
+
+def _read_canonical(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None] | None:
+    """The bulk reader: the parse of ``text`` when it is exactly in the shape
+    ``format_graph_text`` writes and error-free, else None."""
+    end = text.find("\n")
+    sizes = _decimals(text[:end], "graph ") if text.endswith("\n") else None
+    if sizes is None or len(sizes) != 2 or min(sizes) < 0 or sum(sizes) > MAX_DECLARED:
+        return None
+    n1, n2 = sizes
+    last = text.rfind("\n", 0, -1) + 1  # where the last line starts
+    yorder = None
+    if last > end and text.startswith("yorder ", last):
+        values = _decimals(text[last:-1], "yorder ")
+        if values is None or sorted(values) != list(range(1, n2 + 1)):
+            return None
+        yorder = tuple(values)
+    else:
+        last = len(text)
+    # The whole edge block is checked before anything is decoded, so a text
+    # that is valid but not canonical costs string scans only: slice by
+    # slice, deleting the digits must leave 'edge  \n' per line, and no digit
+    # run may start with 0 (index 0 is out of range and 007 not canonical).
+    # A digit inside 'edge ' or an empty digit run, always an error, is left
+    # to json to refuse.
+    if text.find(" 0", end, last) >= 0:
+        return None
+    stops = []
+    pos = end + 1
+    while pos < last:
+        stop = text.rfind("\n", pos, min(pos + _CHUNK, last)) + 1
+        if (stop <= pos or text[pos:stop].translate(_DROP_DIGITS)
+                != "edge  \n" * text.count("\n", pos, stop)):
+            return None
+        stops.append(stop)
+        pos = stop
+    xtab, ytab = list(range(n1 + 1)), list(range(n2 + 1))
+    xs: list[int] = []
+    ys: list[int] = []
+    pos = end + 1
+    for stop in stops:
+        try:
+            nums = json.loads(
+                "[" + text[pos + 5:stop - 1].replace("\nedge ", ",").replace(" ", ",") + "]")
+            xs += map(xtab.__getitem__, nums[::2])
+            ys += map(ytab.__getitem__, nums[1::2])
+        except (ValueError, IndexError):  # a stray digit, an empty or huge run, a big index
+            return None
+        pos = stop
+    if xs != sorted(xs):
+        return None  # format_graph_text writes X ascending; the line loop reads the rest
+    cuts = [bisect_left(xs, i) for i in range(1, n1 + 2)]
+    rows = [ys[a:b] for a, b in zip(cuts, islice(cuts, 1, None))]
+    del xs, ys
+    return _from_rows(n2, rows), yorder
+
+
+def _read_lines(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
+    """The line loop: reads any text in the graph format and words every error."""
     header: tuple[int, int] | None = None
     rows: list[list[int]] = []  # rows[i - 1] collects the j of every 'edge i j'
     known: dict[str, int] = {}  # index token -> int(token), filled on first sight
@@ -88,6 +182,11 @@ def parse_graph_text(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]
             n1, n2 = _ints(parts[1:], lineno)
             if n1 < 0 or n2 < 0:
                 raise InputError(f"line {lineno}: side sizes must be nonnegative")
+            if n1 + n2 > MAX_DECLARED:
+                raise CapacityError(
+                    f"line {lineno}: the header declares {n1 + n2} vertices, "
+                    f"more than the limit of {MAX_DECLARED}"
+                )
             header = (n1, n2)
             rows = [[] for _ in range(n1)]
         elif keyword == "yorder":
@@ -141,6 +240,10 @@ def parse_set_system_text(text: str) -> SetSystem:
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: expected 'universe <p>'")
             universe = _ints(parts[1:], lineno)[0]
+            if universe > MAX_DECLARED:
+                raise CapacityError(
+                    f"line {lineno}: universe {universe} exceeds the limit of {MAX_DECLARED}"
+                )
         elif keyword == "set":
             if universe is None:
                 raise InputError(f"line {lineno}: 'set' before 'universe'")
