@@ -4,6 +4,10 @@ One executable, ``veds``, with solve / verify / order / decompose / reduce /
 oracle / gen / bench subcommands over the text formats.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 domain or contract
 error, 2 input or parse error, 3 capacity error.
+
+``main`` builds its argparse tree once per process, on its first call, and
+reuses it for every later call: ``parse_args`` only reads the parser and
+fills a fresh namespace each time.  Importing this module builds nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .chains import decompose, verify_decomposition_lemma
 from .errors import InputError, VedsError
 from .graph import (
     BipartiteGraph,
+    count_undominated_edges,
     first_undominated_edge,
     parse_vertex_name,
     xref,
@@ -122,15 +127,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     d = _parse_set_arg(args.set)
     offending = first_undominated_edge(g, d)
     valid = offending is None
+    undominated = 0 if valid else count_undominated_edges(g, d)
     if args.json:
-        payload = {"valid": valid}
+        payload = {"valid": valid, "undominated_count": undominated}
         if offending:
             payload["undominated_edge"] = [f"x{offending[0]}", f"y{offending[1]}"]
         print(json.dumps(payload))
     elif valid:
         print("VALID")
     else:
-        print(f"INVALID: edge x{offending[0]} y{offending[1]} is not dominated")
+        print(f"INVALID: edge x{offending[0]} y{offending[1]} is not dominated"
+              f" ({undominated} of {g.m} edges undominated)")
     return 0 if valid else 1
 
 
@@ -356,10 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.handler(args)
     except VedsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ __all__ = [
     "build_graph",
     "is_ve_dominating_set",
     "first_undominated_edge",
+    "count_undominated_edges",
     "connected_components",
 ]
 
@@ -173,6 +174,15 @@ def first_undominated_edge(g: BipartiteGraph, d: Iterable[VertexRef]) -> tuple[i
         if not (covered_x[i - 1] or covered_y[j - 1]):
             return (i, j)
     return None
+
+
+def count_undominated_edges(g: BipartiteGraph, d: Iterable[VertexRef]) -> int:
+    """Return how many edges d leaves undominated: 0 when d is a VED-set."""
+    d = set(d)
+    g.check_refs(d)
+    covered_x, covered_y = _coverage(g, d)
+    return sum(1 for covered, nb in zip(covered_x, g.adj_x) if not covered
+               for j in nb if not covered_y[j - 1])
 
 
 def is_ve_dominating_set(g: BipartiteGraph, d: Iterable[VertexRef]) -> bool:

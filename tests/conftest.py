@@ -76,17 +76,23 @@ def is_chain_graph(g: BipartiteGraph) -> bool:
     return all(b <= a for a, b in zip(hoods, hoods[1:]))
 
 
-def naive_ve_dominates(g: BipartiteGraph, d) -> bool:
-    """Independent restatement: every edge has a member of d within the union
-    of its endpoints' closed neighbourhoods, checked by a double loop."""
+def naive_undominated_edges(g: BipartiteGraph, d) -> list[tuple[int, int]]:
+    """Independent restatement: the edges, in ascending order, with no member
+    of d within the union of their endpoints' closed neighbourhoods, checked
+    by a double loop."""
     d = set(d)
+    undominated = []
     for i, j in g.edges():
         hood = {("x", i), ("y", j)}
         hood.update(("y", k) for k in g.neighbors_x(i))
         hood.update(("x", k) for k in g.neighbors_y(j))
         if not any((v.side, v.index) in hood for v in d):
-            return False
-    return True
+            undominated.append((i, j))
+    return undominated
+
+
+def naive_ve_dominates(g: BipartiteGraph, d) -> bool:
+    return not naive_undominated_edges(g, d)
 
 
 def random_convex_instance(rng: random.Random, max_side: int = 6, connected: bool = False):

@@ -8,7 +8,7 @@ import pytest
 
 import veds
 from veds import counterexample_graph, format_graph_text, identity_permutation
-from veds.cli import main
+from veds.cli import build_parser, main
 
 COUNTEREXAMPLE = format_graph_text(counterexample_graph(), identity_permutation(3))
 
@@ -118,6 +118,19 @@ def test_verify_valid_and_invalid(cbg, capsys):
     assert code == 0 and out.strip() == "VALID"
     code, out, _ = run(capsys, "verify", cbg, "--set", "x1, x2")
     assert code == 1 and out.startswith("INVALID")
+
+
+def test_verify_counts_every_undominated_edge(cbg, capsys):
+    # {y1} dominates only x1's two edges; x2y2, x3y2 and x3y3 stay open.
+    code, out, _ = run(capsys, "verify", cbg, "--set", "y1")
+    assert code == 1
+    assert out == "INVALID: edge x2 y2 is not dominated (3 of 5 edges undominated)\n"
+    code, out, _ = run(capsys, "verify", cbg, "--set", "y1", "--json")
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "undominated_count": 3,
+                               "undominated_edge": ["x2", "y2"]}
+    code, out, _ = run(capsys, "verify", cbg, "--set", "y2", "--json")
+    assert code == 0 and json.loads(out) == {"valid": True, "undominated_count": 0}
 
 
 def test_verify_names_the_least_out_of_range_vertex_under_every_hash_seed(tmp_path):
@@ -270,22 +283,30 @@ def fresh_process(argv, timeout=120, **env):
     )
 
 
-def fresh_run(argv):
-    """Exit code and stdout of ``main(argv)`` in a new interpreter."""
-    done = fresh_process(argv)
-    return done.returncode, done.stdout
-
-
-def test_repeated_main_calls_leak_nothing_between_calls(cbg, capsys):
-    # Callers such as the benchmark make many main() calls in one process.
-    # A rejected call that had already set --algorithm and --emit-set, then
-    # a baseline solve, must leave the plain solve and decompose exactly as
-    # a new interpreter runs them.
+def test_repeated_main_calls_leak_nothing_between_calls(cbg, scp, tmp_path, capsys, monkeypatch):
+    # Callers such as the benchmark make many main() calls in one process,
+    # all through one parser.  A rejected call that had already set
+    # --algorithm and --emit-set, help, a missing required option, nested
+    # subcommand defaults and options given in one call and left out of the
+    # next must each leave every later call exactly as a new interpreter
+    # runs it.  COLUMNS pins the help width on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    reduced = str(tmp_path / "reduced.cbg")
+    gen = ["gen", "convex", "--n1", "5", "--n2", "4", "--density", "0.3", "--seed", "7"]
     calls = [
         ["solve", cbg, "--algorithm", "baseline", "--emit-set", "--bogus"],
         ["solve", cbg, "--algorithm", "baseline"],
         ["solve", cbg],
         ["decompose", cbg, "--json"],
+        ["--help"],
+        ["verify", cbg],
+        ["verify", cbg, "--set", "y1"],
+        ["oracle", "ve", cbg],
+        ["oracle", "setcover", scp],
+        ["reduce", scp, "--target", "star", "--out", reduced],
+        ["reduce", scp, "--target", "star"],
+        gen + ["--connected"],
+        gen,
     ]
     seen = []
     for argv in calls:
@@ -293,7 +314,47 @@ def test_repeated_main_calls_leak_nothing_between_calls(cbg, capsys):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-        seen.append((code, capsys.readouterr().out))
-    assert [code for code, _ in seen] == [2, 0, 0, 0]
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in seen] == [2, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0]
     assert seen[2][1] == "gamma_ve = 1\n"
-    assert seen == [fresh_run(argv) for argv in calls]
+    assert seen[4][1].startswith("usage: veds") and "the following arguments" in seen[5][2]
+    assert seen[-2][1] != seen[-1][1]
+    fresh = [fresh_process(argv, COLUMNS="80") for argv in calls]
+    assert seen == [(done.returncode, done.stdout, done.stderr) for done in fresh]
+
+
+def test_main_builds_its_parser_once_per_process(cbg, capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr("veds.cli.build_parser", counting_build_parser)
+    monkeypatch.setattr("veds.cli._parser", None)
+    for argv in (["solve", cbg], ["decompose", cbg], ["solve", cbg, "--json"]) * 3:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    # build_parser stays public and still returns a new parser every call.
+    assert build_parser() is not build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = """\
+import argparse
+built = []
+class Counted(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        built.append(self)
+        super().__init__(*args, **kwargs)
+argparse.ArgumentParser = Counted
+import veds.cli
+print(len(built), veds.cli._parser)
+"""
+    src = str(Path(veds.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 None\n"

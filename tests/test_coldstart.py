@@ -33,7 +33,7 @@ def test_coldstart_writes_medians_quartiles_and_provenance(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text())
     assert report["python"] and "PYTHONDONTWRITEBYTECODE" in report and report["runs"] == 2
-    assert [row["mode"] for row in report["rows"]] == ["import", "solve"]
+    assert [row["mode"] for row in report["rows"]] == ["import", "solve", "warm"]
     for row in report["rows"]:
         assert (tmp_path / row["src"]).resolve() == TOOL.parent.parent / "src"
         assert "revision" in row and "pycache_before" in row

@@ -8,13 +8,20 @@ from veds import (
     InputError,
     build_graph,
     connected_components,
+    first_undominated_edge,
     is_ve_dominating_set,
     parse_vertex_name,
     xref,
     yref,
 )
+from veds.graph import count_undominated_edges
 
-from conftest import induced_subgraph, naive_ve_dominates, random_convex_instance
+from conftest import (
+    induced_subgraph,
+    naive_undominated_edges,
+    naive_ve_dominates,
+    random_convex_instance,
+)
 
 
 def small_graphs():
@@ -96,6 +103,9 @@ def test_verifier_matches_naive_double_loop(g, data):
     )
     d = frozenset(members)
     assert is_ve_dominating_set(g, d) == naive_ve_dominates(g, d)
+    undominated = naive_undominated_edges(g, d)
+    assert count_undominated_edges(g, d) == len(undominated)
+    assert first_undominated_edge(g, d) == (undominated[0] if undominated else None)
 
 
 @settings(max_examples=80, deadline=None)

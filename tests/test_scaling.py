@@ -1,8 +1,11 @@
 import importlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import veds
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -30,10 +33,31 @@ def test_scaling_writes_rows_slopes_and_provenance(tmp_path):
     layers = ["parse_bulk", "parse_lines", "ordering", "solve_exact", "decompose", "lemma",
               "baseline"]
     assert report["layers"] == layers
-    assert list(report["families"]) == ["path", "chain", "dense"]
+    assert list(report["families"]) == ["path", "chain", "short", "dense"]
     for family in report["families"].values():
         # Every first case takes longer than the budget, so each family stops there.
         [row] = family["rows"]
         assert set(row) == {"n1", "n2", "n", "m", "gamma_ve", "states", "ms"}
-        assert list(row["ms"]) == layers and min(row["ms"].values()) >= 0
+        assert list(row["ms"]) == layers
+        assert all(ms >= 0 for ms in row["ms"].values() if ms is not None)
         assert family["slopes"] == dict.fromkeys(layers)
+    # Random short intervals: n1 = n2, about 4 edges per X vertex, and
+    # several pieces, which decompose and the baseline do not take.
+    [short] = report["families"]["short"]["rows"]
+    assert short["n1"] == short["n2"] == 100 and 300 <= short["m"] <= 500
+    skipped = [layer for layer, ms in short["ms"].items() if ms is None]
+    assert skipped == ["decompose", "lemma", "baseline"]
+    for name in ("path", "chain", "dense"):
+        assert None not in report["families"][name]["rows"][0]["ms"].values()
+
+
+def test_short_interval_family_splits_into_pieces(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    scaling = importlib.import_module("scaling")
+    build, n1, largest = scaling.FAMILIES["short"]
+    assert (n1, largest) == (100, 102400)
+    for size in (n1, 8 * n1):
+        g = build(size, random.Random(f"short:{scaling.SEED}"))
+        assert g.n1 == g.n2 == size and 3 <= g.m / size <= 5
+        pieces = [xs for xs, _ in veds.connected_components(g) if xs]
+        assert len(pieces) > 1

@@ -3,7 +3,11 @@
 Every ``veds solve <file>`` call starts a new interpreter, so it pays for
 ``import veds`` before any solving.  This script times that cost directly:
 each run is one subprocess, either ``python -c "import veds.cli"`` or
-``python -m veds.cli solve path_k100.cbg --json`` on a generated P_100.  With
+``python -m veds.cli solve path_k100.cbg --json`` on a generated P_100.  The
+``warm`` mode times the other side, a caller that keeps one interpreter:
+its subprocess makes one untimed ``main(["solve", path_k100.cbg, "--json"])``
+call, then times 50 more in process with stdout captured, and its sample is
+the median of those 50 calls, not the subprocess's wall time.  With
 several ``--src`` roots (say a checkout of the parent commit and one of the
 change), the roots alternate run by run, so drift on a shared host falls on
 all of them alike.  Each root and mode gets one untimed warm-up run first.
@@ -38,8 +42,23 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-MODES = ("import", "solve")
+MODES = ("import", "solve", "warm")
 PATH_K = 100
+WARM_CALLS = 50
+WARM = f"""\
+import contextlib, io, statistics, sys, time
+from veds.cli import main
+argv = ["solve", sys.argv[1], "--json"]
+samples = []
+for _ in range({WARM_CALLS} + 1):
+    with contextlib.redirect_stdout(io.StringIO()):
+        started = time.perf_counter()
+        code = main(argv)
+        samples.append((time.perf_counter() - started) * 1000.0)
+    if code != 0:
+        sys.exit(code)
+print(statistics.median(samples[1:]))
+"""
 
 
 def path_graph_text(k: int) -> str:
@@ -70,6 +89,8 @@ def revision(src: Path) -> dict:
 def command(mode: str, graph_file: Path) -> list[str]:
     if mode == "import":
         return [sys.executable, "-c", "import veds.cli"]
+    if mode == "warm":
+        return [sys.executable, "-c", WARM, str(graph_file)]
     return [sys.executable, "-m", "veds.cli", "solve", str(graph_file), "--json"]
 
 
@@ -123,7 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         for _ in range(args.runs):
             for src in roots:
                 for mode in MODES:
-                    samples[src, mode].append(run_once(command(mode, graph_file), src)[0])
+                    elapsed, out = run_once(command(mode, graph_file), src)
+                    samples[src, mode].append(float(out) if mode == "warm" else elapsed)
 
     rows = []
     for src in roots:

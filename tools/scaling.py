@@ -1,18 +1,21 @@
 """Per-layer wall time of veds as instances double in size.
 
-Three families, each Y-relabelled by a permutation drawn from ``SEED`` so
+Four families, each Y-relabelled by a permutation drawn from ``SEED`` so
 the ordering layer does real work: the paths P_2n and the short-interval
-chains of ``perfbench/workloads.py``, and the dense graphs of acceptance
-criterion 6 (n1 = n2, density 0.1).  Each family doubles its size from a
-small start until one case's layers together run past ``--budget`` seconds
-or the family reaches its largest size: n1 = 102400 for paths and chains
-(n = 2e5 and 3e5), n1 = n2 = 2000 for dense (m ~ 4e5).
+chains of ``perfbench/workloads.py``, random short intervals (n1 = n2, mean
+interval length about 4, not required to be connected, so the solver splits
+them into pieces), and the dense graphs of acceptance criterion 6 (n1 = n2,
+density 0.1).  Each family doubles its size from a small start until one
+case's layers together run past ``--budget`` seconds or the family reaches
+its largest size: n1 = 102400 for paths, chains and short intervals (n = 2e5,
+3e5 and 2e5), n1 = n2 = 2000 for dense (m ~ 4e5).
 
 Every case times each layer once, in process, with the garbage collector on
 and a full collection before each layer: ``parse_graph_text`` on the
 ``format_graph_text`` output (the bulk reader), the line loop alone on the
 same text, the ordering, ``solve_exact``, ``decompose``,
-``verify_decomposition_lemma`` and the baseline.  It records n, m, gamma_ve
+``verify_decomposition_lemma`` and the baseline; the last three take
+connected graphs only and read null on the others.  It records n, m, gamma_ve
 and the solver's state count, and each family gets a least-squares log-log
 slope per layer against n + m over its three largest sizes (null with fewer
 than two).
@@ -50,6 +53,11 @@ LAYERS = ("parse_bulk", "parse_lines", "ordering", "solve_exact", "decompose",
           "lemma", "baseline")
 
 
+def short_graph(n1: int, rng: random.Random) -> veds.BipartiteGraph:
+    return veds.gen_random_convex_bipartite(veds.GeneratorConfig(
+        n1, n1, 4 / n1, rng.getrandbits(48), require_connected=False))
+
+
 def dense_graph(n1: int, rng: random.Random) -> veds.BipartiteGraph:
     return veds.gen_random_convex_bipartite(veds.GeneratorConfig(
         n1, n1, 0.1, rng.getrandbits(48), require_connected=True))
@@ -59,6 +67,7 @@ def dense_graph(n1: int, rng: random.Random) -> veds.BipartiteGraph:
 FAMILIES = {
     "path": (lambda n1, rng: path_graph(2 * n1), 100, 102400),
     "chain": (chain_graph, 100, 102400),
+    "short": (short_graph, 100, 102400),
     "dense": (dense_graph, 125, 2000),
 }
 
@@ -83,17 +92,21 @@ def case(g: veds.BipartiteGraph, yorder: tuple[int, ...]) -> dict:
     del text
     ordering = timed(ms, "ordering", veds.compute_lex_convex_ordering, g, yorder)
     result = timed(ms, "solve_exact", veds.solve_exact, g, ordering)
-    decomp = timed(ms, "decompose", veds.decompose, g, ordering)
-    timed(ms, "lemma", veds.verify_decomposition_lemma, g, decomp)
-    timed(ms, "baseline", veds.solve_baseline, g, ordering)
+    if len(veds.connected_components(g)) == 1:
+        decomp = timed(ms, "decompose", veds.decompose, g, ordering)
+        timed(ms, "lemma", veds.verify_decomposition_lemma, g, decomp)
+        timed(ms, "baseline", veds.solve_baseline, g, ordering)
+    else:  # decompose, and the baseline built on it, take connected graphs only
+        ms["decompose"] = ms["lemma"] = ms["baseline"] = None
     return {"n1": g.n1, "n2": g.n2, "n": g.n, "m": g.m, "gamma_ve": result.gamma_ve,
             "states": result.stats.states, "ms": ms}
 
 
 def slope(rows: list[dict], layer: str) -> float | None:
-    """Least-squares slope of log ms against log(n + m) over the last three rows."""
+    """Least-squares slope of log ms against log(n + m) over the last three rows
+    (null where the layer did not run)."""
     points = [(math.log(r["n"] + r["m"]), math.log(r["ms"][layer]))
-              for r in rows[-3:] if r["ms"][layer] > 0]
+              for r in rows[-3:] if r["ms"][layer]]
     if len(points) < 2:
         return None
     mx = sum(x for x, _ in points) / len(points)
@@ -118,9 +131,10 @@ def main(argv: list[str] | None = None) -> int:
             rows.append(case(g, yorder))
             del g, yorder
             row = rows[-1]
+            ran = {k: v for k, v in row["ms"].items() if v is not None}
             print(f"{name:>5} n={row['n']:>7} m={row['m']:>7}  "
-                  + "  ".join(f"{k} {v:.1f}" for k, v in row["ms"].items()), flush=True)
-            if sum(row["ms"].values()) > args.budget * 1000.0:
+                  + "  ".join(f"{k} {v:.1f}" for k, v in ran.items()), flush=True)
+            if sum(ran.values()) > args.budget * 1000.0:
                 break
             n1 *= 2
         families[name] = {"rows": rows, "slopes": {layer: slope(rows, layer) for layer in LAYERS}}
