@@ -22,8 +22,7 @@ from .chains import decompose, verify_decomposition_lemma
 from .errors import InputError, VedsError
 from .graph import (
     BipartiteGraph,
-    count_undominated_edges,
-    first_undominated_edge,
+    _undominated,
     parse_vertex_name,
     xref,
     yref,
@@ -125,9 +124,8 @@ def _parse_set_arg(text: str):
 def _cmd_verify(args: argparse.Namespace) -> int:
     g, _ = load_graph(args.file)
     d = _parse_set_arg(args.set)
-    offending = first_undominated_edge(g, d)
+    offending, undominated = _undominated(g, d)
     valid = offending is None
-    undominated = 0 if valid else count_undominated_edges(g, d)
     if args.json:
         payload = {"valid": valid, "undominated_count": undominated}
         if offending:
@@ -183,13 +181,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     g, ordering = _ordering_for(args.file)
     decomp = decompose(g, ordering)
     report = verify_decomposition_lemma(g, decomp)
+    chains, strands, tail = decomp.parts()
     if args.json:
         print(json.dumps({
-            "chains": [
-                {"x": sorted(hx), "y": sorted(hy)} for hx, hy in decomp.chains
-            ],
-            "isolated_sets": [sorted(js) for js in decomp.isolated_sets],
-            "tail_isolated": _witness_names(decomp.tail_isolated),
+            "chains": [{"x": xs, "y": ys} for xs, ys in chains],
+            "isolated_sets": strands,
+            "tail_isolated": _witness_names(tail),
             "lemma_checks": [
                 {"chain": c.chain_index, "clause": c.clause, "ok": c.ok, "detail": c.detail}
                 for c in report.checks
@@ -197,13 +194,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             "lemma_passed": report.passed,
         }))
         return 0
-    for k, ((hx, hy), js) in enumerate(zip(decomp.chains, decomp.isolated_sets), start=1):
-        print(f"chain {k}: X = {_name_set(xref(i) for i in hx)}  "
-              f"Y = {_name_set(yref(j) for j in hy)}")
+    for k, ((xs, ys), js) in enumerate(zip(chains, strands), start=1):
+        print(f"chain {k}: X = {_name_set(xref(i) for i in xs)}  "
+              f"Y = {_name_set(yref(j) for j in ys)}")
         if js:
             print(f"isolated after chain {k}: {_name_set(xref(i) for i in js)}")
-    if decomp.tail_isolated:
-        print(f"tail (flagged): {_name_set(decomp.tail_isolated)}")
+    if tail:
+        print(f"tail (flagged): {_name_set(tail)}")
     for c in report.checks:
         print(f"[chain {c.chain_index}] {c.clause}: {'pass' if c.ok else 'FAIL'} ({c.detail})")
     print(f"lemma verification: {'all clauses passed' if report.passed else 'FAILED'}")

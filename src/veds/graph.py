@@ -24,7 +24,6 @@ __all__ = [
     "build_graph",
     "is_ve_dominating_set",
     "first_undominated_edge",
-    "count_undominated_edges",
     "connected_components",
 ]
 
@@ -165,24 +164,20 @@ def _coverage(g: BipartiteGraph, d: Iterable[VertexRef]) -> tuple[list[bool], li
     return covered_x, covered_y
 
 
+def _undominated(g: BipartiteGraph, d: Iterable[VertexRef]) -> tuple[tuple[int, int] | None, int]:
+    """(first, count): the smallest edge d leaves undominated, None when d is
+    a VED-set, and how many edges it leaves undominated."""
+    d = set(d)
+    g.check_refs(d)
+    covered_x, covered_y = _coverage(g, d)
+    missed = [(i, j) for i, (covered, nb) in enumerate(zip(covered_x, g.adj_x), start=1)
+              if not covered for j in nb if not covered_y[j - 1]]
+    return (missed[0] if missed else None), len(missed)
+
+
 def first_undominated_edge(g: BipartiteGraph, d: Iterable[VertexRef]) -> tuple[int, int] | None:
     """Return the smallest edge not ve-dominated by d, or None when d is a VED-set."""
-    d = set(d)
-    g.check_refs(d)
-    covered_x, covered_y = _coverage(g, d)
-    for i, j in g.edges():
-        if not (covered_x[i - 1] or covered_y[j - 1]):
-            return (i, j)
-    return None
-
-
-def count_undominated_edges(g: BipartiteGraph, d: Iterable[VertexRef]) -> int:
-    """Return how many edges d leaves undominated: 0 when d is a VED-set."""
-    d = set(d)
-    g.check_refs(d)
-    covered_x, covered_y = _coverage(g, d)
-    return sum(1 for covered, nb in zip(covered_x, g.adj_x) if not covered
-               for j in nb if not covered_y[j - 1])
+    return _undominated(g, d)[0]
 
 
 def is_ve_dominating_set(g: BipartiteGraph, d: Iterable[VertexRef]) -> bool:

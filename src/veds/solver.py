@@ -32,10 +32,10 @@ x_pivot child first, each state once per piece, a split's runs in order.
 Without it no label is built.  ``SolveResult.stats`` holds counts read off
 the tables.
 
-The baseline solver picks one pivot per chain of the chain decomposition.
-It always yields a valid VED-set but is not always minimum;
-``counterexample_graph`` is a six-vertex instance where it returns two
-vertices while the optimum is one.
+The baseline solver takes the pivot of each chain that ``chains._peels``
+peels off each connected piece.  It always yields a valid VED-set but is not
+always minimum; ``counterexample_graph`` is a six-vertex instance where it
+returns two vertices while the optimum is one.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
-from .chains import _Component, _coverage_runs, decompose
+from .chains import _Component, _coverage_runs, _peels
 from .errors import ContractError
 from .graph import BipartiteGraph, VertexRef, build_graph, xref, yref
 from .ordering import Interval, LexConvexOrdering, ensure_valid_lex_ordering
@@ -311,17 +311,19 @@ def solve_exact(
 
 
 def solve_baseline(g: BipartiteGraph, ordering: LexConvexOrdering) -> SolveResult:
-    """One pivot per chain of ``decompose(g, ordering)``: the
-    farthest-reaching neighbour of each chain's first Y vertex.
+    """One pivot per chain of each connected piece: the farthest-reaching
+    neighbour of each chain's first Y vertex, read off ``chains._peels``.
 
     The result is always a valid VED-set (checked here, as in
     ``solve_exact``) but not always a minimum one; see
-    ``counterexample_graph``.
+    ``counterexample_graph``.  An edgeless graph gives the empty set.
     """
-    decomp = decompose(g, ordering)
-    if not ordering.intervals:
-        raise ContractError("baseline requires at least one edge")
-    witness = frozenset(xref(i) for i in decomp.pivots)
+    ensure_valid_lex_ordering(g, ordering)
+    witness = frozenset(
+        xref(pivot)
+        for run in _coverage_runs(ordering.intervals)
+        for _, pivot, _, _ in _peels(_Component(*run))
+    )
     if not ordering.dominated_by(witness):
         raise ContractError("solve_baseline built an invalid witness")
     return SolveResult(len(witness), witness, ())

@@ -1,13 +1,9 @@
 import hashlib
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
+from collections import Counter
 
 import pytest
 
-import veds
 from veds import (
     ChainDecomposition,
     ContractError,
@@ -33,29 +29,29 @@ from test_solver import chain_graph, golden_instances, path_graph
 
 def test_decompose_counterexample(counterexample):
     d = decompose(counterexample, ordered(counterexample))
-    assert [(set(hx), set(hy)) for hx, hy in d.chains] == [
-        ({1}, {1, 2}),
-        ({3}, {3}),
-    ]
-    assert [set(js) for js in d.isolated_sets] == [{2}, set()]
-    assert not d.tail_isolated
+    assert (d.part_x, d.part_y, d.pivots) == ((1, 2, 3), (1, 1, 3), (1, 3))
+    assert d.parts() == ([([1], [1, 2]), ([3], [3])], [[2], []], [])
 
 
 def test_decompose_p8(p8):
     d = decompose(p8, ordered(p8))
-    assert [(set(hx), set(hy)) for hx, hy in d.chains] == [
-        ({1, 2}, {1, 2}),
-        ({3, 4}, {3, 4}),
-    ]
-    assert [set(js) for js in d.isolated_sets] == [set(), set()]
+    assert (d.part_x, d.part_y) == ((1, 1, 3, 3), (1, 1, 3, 3))
+    assert d.parts() == ([([1, 2], [1, 2]), ([3, 4], [3, 4])], [[], []], [])
 
 
 def test_decompose_complete_bipartite_single_chain():
     g = complete(3, 4)
     d = decompose(g, ordered(g))
-    assert len(d.chains) == 1
-    assert d.chains[0] == (frozenset({1, 2, 3}), frozenset({1, 2, 3, 4}))
-    assert d.isolated_sets == (frozenset(),)
+    assert d.chains == [([1, 2, 3], [1, 2, 3, 4])]
+    assert d.parts()[1] == [[]]
+
+
+def test_decompose_single_vertex_is_the_tail():
+    for g, vertex in ((build_graph(1, 0, []), xref(1)), (build_graph(0, 1, []), yref(1))):
+        d = decompose(g, ordered(g))
+        assert (d.part_x, d.part_y, d.pivots) == ((0,) * g.n1, (0,) * g.n2, ())
+        assert d.parts() == ([], [], [vertex])
+        assert verify_decomposition_lemma(g, d).checks == ()
 
 
 def test_decompose_requires_connected():
@@ -146,14 +142,14 @@ def test_chain_remainders_are_emitted_whole():
     for _ in range(150):
         g, ordv = random_convex_instance(rng, max_side=8, connected=True)
         d = decompose(g, ordv)
-        k = len(d.chains)
+        k = len(d.pivots)
         for i in range(k):
-            xs = set().union(*(d.chains[j][0] | d.isolated_sets[j] for j in range(i, k)))
-            ys = set().union(*(d.chains[j][1] for j in range(i, k)))
-            sub = induced_subgraph(g, xs, ys)
-            if is_chain_graph(sub):
+            # Rounds i.. (0-based) carry the labels above 2i.
+            xs = [v for v, label in enumerate(d.part_x, start=1) if label > 2 * i]
+            ys = [v for v, label in enumerate(d.part_y, start=1) if label > 2 * i]
+            if is_chain_graph(induced_subgraph(g, xs, ys)):
                 assert i == k - 1
-                assert d.isolated_sets[i] == frozenset()
+                assert 2 * k not in d.part_x
 
 
 def test_random_decompositions_partition_and_verify():
@@ -161,15 +157,15 @@ def test_random_decompositions_partition_and_verify():
     for _ in range(250):
         g, ordv = random_convex_instance(rng, max_side=10, connected=True)
         d = decompose(g, ordv)
-        xs = [i for (hx, _), js in zip(d.chains, d.isolated_sets) for i in (*hx, *js)]
-        ys = [j for _, hy in d.chains for j in hy]
-        assert sorted(xs) == list(range(1, g.n1 + 1))
-        assert sorted(ys) == list(range(1, g.n2 + 1))
-        for hx, hy in d.chains:
+        assert (len(d.part_x), len(d.part_y)) == (g.n1, g.n2)
+        assert all(label % 2 for label in d.part_y)  # no Y vertex is stranded
+        chains, strands, tail = d.parts()
+        assert len(chains) == len(strands) == len(d.pivots)
+        for hx, hy in chains:
             assert hx and hy
             sub = induced_subgraph(g, hx, hy)
             assert is_chain_graph(sub)
-        assert not d.tail_isolated  # connected inputs strand nothing
+        assert not tail  # connected inputs leave no tail
         assert verify_decomposition_lemma(g, d).passed
 
 
@@ -190,18 +186,15 @@ def decomposition_instances():
 
 def test_decomposition_digest():
     # sha256 over one line per instance (700 of them, 22,179 chains): the
-    # repr of (chains, isolated sets, pivots), sets as sorted lists.  Pinned
-    # with the decompose that peeled by filtering and re-sorting the
+    # repr of (chains, strands, pivots), vertex sets as ascending lists.
+    # Pinned with the decompose that peeled by filtering and re-sorting the
     # remainder; any change to a chain, a strand or a pivot of these deep or
     # relabelled instances shows here.
     h = hashlib.sha256()
     for g, ordv in decomposition_instances():
         d = decompose(g, ordv)
-        line = (
-            [(sorted(hx), sorted(hy)) for hx, hy in d.chains],
-            [sorted(js) for js in d.isolated_sets],
-            list(d.pivots),
-        )
+        chains, strands, _ = d.parts()
+        line = (chains, strands, list(d.pivots))
         h.update(repr(line).encode() + b"\n")
     assert h.hexdigest() == (
         "2070a8c49fdd9a28daf00739a7feecec87500852922d2347cef0f78b98ce0aaa"
@@ -215,16 +208,11 @@ def intervals_graph(n2, intervals):
     return build_graph(len(intervals), n2, edges)
 
 
-def hand_built(g, chains, strands):
+def hand_built(g, part_x, part_y):
     """A decomposition of g under the identity ordering with the given
-    (X, Y) chains and strands, which need not satisfy the lemma."""
-    return ChainDecomposition(
-        tuple((frozenset(hx), frozenset(hy)) for hx, hy in chains),
-        tuple(map(frozenset, strands)),
-        (),
-        frozenset(),
-        ordered(g),
-    )
+    labels (2k - 1 for chain k, 2k for its strand), which need not satisfy
+    the lemma."""
+    return ChainDecomposition(tuple(part_x), tuple(part_y), (), ordered(g))
 
 
 def clause_tuples(g, d):
@@ -236,7 +224,7 @@ def clause_tuples(g, d):
 
 def test_lemma_reports_a_detached_strand():
     g = intervals_graph(3, [(1, 1), (1, 3), (2, 3)])
-    d = hand_built(g, [({1}, {1}), ({2}, {2, 3})], [{3}, ()])
+    d = hand_built(g, (1, 3, 2), (1, 3, 3))  # x3 in strand 1
     assert clause_tuples(g, d) == [
         (1, "strand-attached", False, "x3 has no neighbour in the chain's Y side"),
         (1, "next-chain-linked", True, "y1 reaches x2 in chain 2"),
@@ -248,7 +236,7 @@ def test_lemma_reports_a_detached_strand():
 
 def test_lemma_reports_an_unlinked_next_chain():
     g = intervals_graph(3, [(1, 2), (2, 3)])
-    d = hand_built(g, [({1}, {1}), ({2}, {2, 3})], [(), ()])
+    d = hand_built(g, (1, 3), (1, 3, 3))
     assert clause_tuples(g, d) == [
         (1, "strand-attached", True, "all stranded vertices touch the chain"),
         (1, "next-chain-linked", False, "y1 has no neighbour in chain 2"),
@@ -260,7 +248,7 @@ def test_lemma_reports_an_unlinked_next_chain():
 
 def test_lemma_reports_a_leak_into_the_next_strand():
     g = intervals_graph(3, [(1, 1), (1, 3), (1, 2)])
-    d = hand_built(g, [({1}, {1}), ({2}, {2, 3})], [(), {3}])
+    d = hand_built(g, (1, 3, 4), (1, 3, 3))  # x3 in strand 2
     assert clause_tuples(g, d) == [
         (1, "strand-attached", True, "all stranded vertices touch the chain"),
         (1, "next-chain-linked", True, "y1 reaches x2 in chain 2"),
@@ -272,7 +260,7 @@ def test_lemma_reports_a_leak_into_the_next_strand():
 
 def test_lemma_reports_a_y_leak_two_chains_ahead():
     g = intervals_graph(3, [(1, 1), (1, 2), (1, 3)])
-    d = hand_built(g, [({1}, {1}), ({2}, {2}), ({3}, {3})], [(), (), ()])
+    d = hand_built(g, (1, 3, 5), (1, 3, 5))
     assert clause_tuples(g, d) == [
         (1, "strand-attached", True, "all stranded vertices touch the chain"),
         (1, "next-chain-linked", True, "y1 reaches x2 in chain 2"),
@@ -287,7 +275,7 @@ def test_lemma_reports_a_y_leak_two_chains_ahead():
 
 def test_lemma_reports_an_x_leak_two_chains_ahead():
     g = intervals_graph(3, [(1, 3), (1, 2), (2, 3)])
-    d = hand_built(g, [({1}, {1}), ({2}, {2}), ({3}, {3})], [(), (), ()])
+    d = hand_built(g, (1, 3, 5), (1, 3, 5))
     assert clause_tuples(g, d) == [
         (1, "strand-attached", True, "all stranded vertices touch the chain"),
         (1, "next-chain-linked", True, "y1 reaches x2 in chain 2"),
@@ -303,7 +291,7 @@ def test_lemma_reports_an_x_leak_two_chains_ahead():
 def test_lemma_joins_several_leaks_in_string_order():
     # Sorted as strings, so x before y and y10 before y8.
     g = intervals_graph(12, [(1, 12), (10, 11), (9, 11), (8, 12)])
-    d = hand_built(g, [({1}, range(1, 11)), ({2}, {11}), ({4}, {12})], [(), {3}, ()])
+    d = hand_built(g, (1, 3, 4, 5), (1,) * 10 + (3, 5))  # x3 in strand 2
     assert clause_tuples(g, d) == [
         (1, "strand-attached", True, "all stranded vertices touch the chain"),
         (1, "next-chain-linked", True, "y10 reaches x2 in chain 2"),
@@ -324,108 +312,62 @@ def test_lemma_joins_several_leaks_in_string_order():
 
 def test_lemma_rejects_a_chain_with_an_empty_side(p8):
     # P_8's chains are ({x1, x2}, {y1, y2}) and ({x3, x4}, {y3, y4}); moving
-    # chain 1's Y side into chain 2 keeps the partition intact.
+    # chain 1's Y side into chain 2 leaves chain 1 without Y vertices.
     d = decompose(p8, ordered(p8))
-    (hx1, hy1), (hx2, hy2) = d.chains
-    broken = d._replace(chains=((hx1, frozenset()), (hx2, hy1 | hy2)))
+    broken = d._replace(part_y=(3, 3, 3, 3))
     with pytest.raises(ContractError, match="chain 1 has an empty side"):
         verify_decomposition_lemma(p8, broken)
 
 
-def test_partition_error_names_the_least_foreign_vertex_under_every_hash_seed():
-    # P_4's chain 1 gains x5, x9 and y3, and its tail x11; the message must
-    # not depend on the iteration order of string-hashed sets, nor on which
-    # part is read first.
-    script = (
-        "from veds import ContractError, build_graph, compute_lex_convex_ordering, "
-        "decompose, verify_decomposition_lemma, xref\n"
-        "g = build_graph(2, 2, [(1, 1), (2, 1), (2, 2)])\n"
-        "d = decompose(g, compute_lex_convex_ordering(g, (1, 2)))\n"
-        "(hx, hy), = d.chains\n"
-        "d = d._replace(chains=((hx | {5, 9}, hy | {3}),), tail_isolated=frozenset({xref(11)}))\n"
-        "try:\n"
-        "    verify_decomposition_lemma(g, d)\n"
-        "except ContractError as exc:\n"
-        "    print(exc)\n"
-    )
-    src = str(Path(veds.__file__).resolve().parent.parent)
-    outputs = set()
-    for seed in range(1, 7):
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-            "PYTHONHASHSEED": str(seed),
-        }
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-        )
-        outputs.add((done.returncode, done.stdout, done.stderr))
-    assert outputs == {(0, "decomposition mentions x5, which the graph lacks\n", "")}
+def test_lemma_rejects_labels_of_the_wrong_shape(p8):
+    # One label per vertex, none negative, and no Y vertex in a strand.
+    d = decompose(p8, ordered(p8))
+    for part_x, part_y, message in (
+        ((1, 1, 3), (1, 1, 3, 3), "does not label each vertex of the graph once"),
+        ((1, 1, 3, 3, 3), (1, 1, 3, 3), "does not label each vertex of the graph once"),
+        ((1, 1, 3, 3), (1, 1, 3), "does not label each vertex of the graph once"),
+        ((1, 1, 3, 3), (), "does not label each vertex of the graph once"),
+        ((1, -1, 3, 3), (1, 1, 3, 3), "gives a vertex a negative label"),
+        ((1, 1, 3, 3), (1, 1, 3, -3), "gives a vertex a negative label"),
+        ((1, 1, 3, 3), (1, 2, 3, 3), "strands a Y vertex"),
+    ):
+        with pytest.raises(ContractError, match=message):
+            verify_decomposition_lemma(p8, d._replace(part_x=part_x, part_y=part_y))
 
 
-def _mutate(g, d, rng):
-    """d with one seeded fault: a vertex moved to another part, two chains'
-    Y sides swapped, a vertex mentioned twice, or a foreign vertex added.
-    No chain side is left empty."""
-    xs = [set(hx) for hx, _ in d.chains]
-    ys = [set(hy) for _, hy in d.chains]
-    strands = [set(js) for js in d.isolated_sets]
-    tail = set(d.tail_isolated)
-    k = len(xs)
+def _mutate(d, rng):
+    """d with one seeded fault in its labels: a vertex moved to another part
+    or two chains' Y sides swapped.  No chain side is left empty."""
+    part_x, part_y = list(d.part_x), list(d.part_y)
+    k = len(d.pivots)
     while True:
-        kind = rng.randrange(6)
+        kind = rng.randrange(4)
         if kind == 0:  # an X vertex moves to another chain, a strand or the tail
-            sources = [p for p in xs if len(p) > 1] + [p for p in strands if p]
-            if not sources:
+            sizes = Counter(part_x)
+            movable = [v for v, label in enumerate(part_x) if label % 2 == 0 or sizes[label] > 1]
+            if not movable:
                 continue
-            src = rng.choice(sources)
-            v = rng.choice(sorted(src))
-            src.remove(v)
-            dst = rng.randrange(2 * k + 1)
-            if dst == 2 * k:
-                tail.add(xref(v))
-            else:
-                (xs + strands)[dst].add(v)
+            part_x[rng.choice(movable)] = rng.randrange(2 * k + 1)
         elif kind == 1:  # a Y vertex moves to another chain or the tail
-            sources = [p for p in ys if len(p) > 1]
-            if not sources:
+            sizes = Counter(part_y)
+            movable = [v for v, label in enumerate(part_y) if sizes[label] > 1]
+            if not movable:
                 continue
-            src = rng.choice(sources)
-            v = rng.choice(sorted(src))
-            src.remove(v)
-            dst = rng.randrange(k + 1)
-            if dst == k:
-                tail.add(yref(v))
-            else:
-                ys[dst].add(v)
-        elif kind in (2, 3):  # two chains swap Y sides
+            part_y[rng.choice(movable)] = rng.choice([0, *range(1, 2 * k, 2)])
+        else:  # two chains swap Y sides
             if k < 2:
                 continue
-            a, b = rng.sample(range(k), 2)
-            ys[a], ys[b] = ys[b], ys[a]
-        elif kind == 4:  # a vertex is mentioned twice
-            if rng.random() < 0.5:
-                rng.choice(xs + strands).add(rng.randint(1, g.n1))
-            else:
-                rng.choice(ys).add(rng.randint(1, g.n2))
-        else:  # a vertex the graph lacks
-            side = rng.choice("xy")
-            n = g.n1 if side == "x" else g.n2
-            v = rng.choice([0, n + 1, n + rng.randint(2, 9)])
-            (rng.choice(xs) if side == "x" else rng.choice(ys)).add(v)
+            a, b = (2 * c + 1 for c in rng.sample(range(k), 2))
+            part_y = [b if label == a else a if label == b else label for label in part_y]
         break
-    return d._replace(
-        chains=tuple((frozenset(hx), frozenset(hy)) for hx, hy in zip(xs, ys)),
-        isolated_sets=tuple(map(frozenset, strands)),
-        tail_isolated=frozenset(tail),
-    )
+    return d._replace(part_x=tuple(part_x), part_y=tuple(part_y))
 
 
 def test_mutated_decomposition_digest():
     # sha256 over one line per mutation (2400 of them, of Y-relabelled
     # chains and paths): the (chain, clause, ok, detail) tuples and the
-    # verdict, or the ContractError text.  Pinned with the lemma check that
-    # built a VertexRef set per part and a set per vertex.
+    # verdict.  Each mutation, written as frozensets per chain, gave the same
+    # tuples under the lemma check that read that form.
     rng = random.Random(2611)
     h = hashlib.sha256()
     failing = 0
@@ -434,16 +376,11 @@ def test_mutated_decomposition_digest():
         g, sigma = relabel_y(base, rng)
         d = decompose(g, compute_lex_convex_ordering(g, sigma))
         for _ in range(20):
-            try:
-                checks = clause_tuples(g, _mutate(g, d, rng))
-            except ContractError as exc:
-                line = f"error: {exc}"
-            else:
-                passed = all(ok for _, _, ok, _ in checks)
-                failing += not passed
-                line = repr((checks, passed))
-            h.update(line.encode() + b"\n")
+            checks = clause_tuples(g, _mutate(d, rng))
+            passed = all(ok for _, _, ok, _ in checks)
+            failing += not passed
+            h.update(repr((checks, passed)).encode() + b"\n")
     assert failing >= 1000
     assert h.hexdigest() == (
-        "9f4e9c9bf903ab530c915be8410d337728579bf3476f620c7b4ad26e7511ccf6"
+        "643a37ff2716f3b59c00ca356f6636dd4ac546cae41e822d0efeee356a5bbc30"
     )

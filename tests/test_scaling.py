@@ -42,11 +42,11 @@ def test_scaling_writes_rows_slopes_and_provenance(tmp_path):
         assert all(ms >= 0 for ms in row["ms"].values() if ms is not None)
         assert family["slopes"] == dict.fromkeys(layers)
     # Random short intervals: n1 = n2, about 4 edges per X vertex, and
-    # several pieces, which decompose and the baseline do not take.
+    # several pieces, which decompose and the lemma check do not take.
     [short] = report["families"]["short"]["rows"]
     assert short["n1"] == short["n2"] == 100 and 300 <= short["m"] <= 500
     skipped = [layer for layer, ms in short["ms"].items() if ms is None]
-    assert skipped == ["decompose", "lemma", "baseline"]
+    assert skipped == ["decompose", "lemma"]
     for name in ("path", "chain", "dense"):
         assert None not in report["families"][name]["rows"][0]["ms"].values()
 

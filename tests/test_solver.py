@@ -19,6 +19,7 @@ from veds import (
     build_graph,
     brute_force_gamma_ve,
     compute_lex_convex_ordering,
+    connected_components,
     counterexample_graph,
     decompose,
     identity_permutation,
@@ -100,10 +101,26 @@ def test_baseline_p8(p8):
     assert base.gamma_ve == brute_force_gamma_ve(p8).gamma_ve
 
 
-def test_baseline_requires_connected():
-    g = build_graph(2, 2, [(1, 1), (2, 2)])
-    with pytest.raises(ContractError):
-        solve_baseline(g, ordered(g))
+def test_baseline_takes_disconnected_and_edgeless_graphs():
+    two = build_graph(2, 2, [(1, 1), (2, 2)])
+    assert solve_baseline(two, ordered(two)).gamma_ve == 2
+    for g in (build_graph(2, 3, []), build_graph(1, 0, []), build_graph(0, 1, [])):
+        base = solve_baseline(g, ordered(g))
+        assert (base.gamma_ve, base.witness) == (0, frozenset())
+    # Each connected piece gets its own chains, so the baseline stays a
+    # valid VED-set, never smaller than the exact one.
+    rng = random.Random(131)
+    disconnected = 0
+    while disconnected < 150:
+        g, _ = random_convex_instance(rng, max_side=9)
+        if len([xs for xs, _ in connected_components(g) if xs]) < 2:
+            continue
+        disconnected += 1
+        g, sigma = relabel_y(g, rng)
+        ordv = compute_lex_convex_ordering(g, sigma)
+        base = solve_baseline(g, ordv)
+        assert is_ve_dominating_set(g, base.witness) and len(base.witness) == base.gamma_ve
+        assert base.gamma_ve >= solve_exact(g, ordv).gamma_ve
 
 
 def test_baseline_is_the_decomposition_pivots():
