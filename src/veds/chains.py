@@ -12,13 +12,14 @@ same walk, piece by piece.  A decomposition labels each vertex with its part.
 
 ``verify_decomposition_lemma`` checks a decomposition against the graph
 alone, without the intervals: it buckets the vertices by label once and
-reads the labels along one adjacency list per vertex, in O(n + m).
+reads each X row's neighbour labels once, so every clause works from the X
+side, in O(n + m), with no Y adjacency built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ContractError
 from .graph import BipartiteGraph, VertexRef, xref, yref
@@ -223,16 +224,6 @@ class DecompositionLemmaReport(NamedTuple):
         return all(c.ok for c in self.checks)
 
 
-def _hits(
-    adj: Sequence[Sequence[int]], part: list[int], vs: Iterable[int], label: int
-) -> Iterator[tuple[int, int]]:
-    """(v, w) for each v of vs with a neighbour labelled ``label``; w is the
-    least one, the first in v's ascending adjacency list."""
-    for v in vs:
-        if label in map(part.__getitem__, adj[v - 1]):
-            yield v, next(w for w in adj[v - 1] if part[w] == label)
-
-
 def verify_decomposition_lemma(
     g: BipartiteGraph, decomp: ChainDecomposition
 ) -> DecompositionLemmaReport:
@@ -241,43 +232,52 @@ def verify_decomposition_lemma(
     Per chain i: (a) every stranded vertex of round i is adjacent to the Y
     side of chain i; (b) the last Y vertex of chain i has a neighbour inside
     chain i+1; (c) chain i has no adjacency into the strand of round i+1 nor
-    into chain i+2.  The vertices are bucketed by label once; each clause
-    then reads the labels along one adjacency list per vertex, so the check
+    into chain i+2.  The check reads the graph from the X side only: each X
+    row's set of neighbour labels is taken once, and the rows of chain i+1,
+    strand i+1 and chain i+2 answer every clause about chain i, so the check
     is O(n + m).  Labels of the wrong shape and a chain with an empty side
     are a ContractError.
     """
     ensure_valid_lex_ordering(g, decomp.ordering)
-    # Lists indexed by vertex, index 0 unused: read through ``map`` from
-    # tuples, the labels made the check about 1.5x slower on dense graphs.
-    part_x, part_y = [0, *decomp.part_x], [0, *decomp.part_y]
-    if len(part_x) != g.n1 + 1 or len(part_y) != g.n2 + 1:
+    # Y labels as a list indexed by vertex, index 0 unused: read through
+    # ``map`` from a tuple, they made the check about 1.5x slower on dense
+    # graphs.
+    part_x, part_y = decomp.part_x, [0, *decomp.part_y]
+    if len(part_x) != g.n1 or len(part_y) != g.n2 + 1:
         raise ContractError("decomposition does not label each vertex of the graph once")
-    if min(part_x + part_y) < 0:
+    if min((*part_x, *part_y)) < 0:
         raise ContractError("decomposition gives a vertex a negative label")
     if any(label > 0 and label % 2 == 0 for label in part_y):
         raise ContractError("decomposition strands a Y vertex")
     chains, strands, _ = decomp.parts()
-    adj_x, adj_y = g.adj_x, g.adj_y
+    adj_x = g.adj_x
+    # seen[i]: the labels of x_i's neighbours.  xs[label]: the X vertices
+    # with that label, ascending, padded so that chain i's ``own + 4`` is in
+    # range for the last chain.
+    seen = [None, *(set(map(part_y.__getitem__, nb)) for nb in adj_x)]
+    xs = [[], *(v for (hx, _), js in zip(chains, strands) for v in (hx, js)), [], [], []]
     checks: list[ClauseCheck] = []
     for idx, ((hx, hy), js) in enumerate(zip(chains, strands), start=1):
         if not (hx and hy):
             raise ContractError(f"decomposition chain {idx} has an empty side")
         own = 2 * idx - 1  # chain idx + 1 is own + 2, and its strand own + 3
-        bad = [v for v in js if own not in map(part_y.__getitem__, adj_x[v - 1])]
+        bad = [v for v in js if own not in seen[v]]
         checks.append(ClauseCheck(idx, "strand-attached", not bad, (
             f"x{bad[0]} has no neighbour in the chain's Y side" if bad
             else "all stranded vertices touch the chain")))
         if idx < len(chains):
             last_y = max(hy, key=decomp.ordering.y_position)
-            linked = [i for i in adj_y[last_y - 1] if part_x[i] == own + 2]
+            linked = next((i for i in xs[own + 2] if last_y in adj_x[i - 1]), 0)
             checks.append(ClauseCheck(idx, "next-chain-linked", bool(linked), (
-                f"y{last_y} reaches x{linked[0]} in chain {idx + 1}" if linked
+                f"y{last_y} reaches x{linked} in chain {idx + 1}" if linked
                 else f"y{last_y} has no neighbour in chain {idx + 1}")))
-        # Labels past the last strand's match no vertex, so the last two
-        # chains need no bounds check.
-        leaks = [f"y{j}~x{i} (strand {idx + 1})" for j, i in _hits(adj_y, part_x, hy, own + 3)]
-        leaks += [f"y{j}~x{i} (chain {idx + 2})" for j, i in _hits(adj_y, part_x, hy, own + 4)]
-        leaks += [f"x{i}~y{j} (chain {idx + 2})" for i, j in _hits(adj_x, part_y, hx, own + 4)]
+        leaks = [f"x{i}~y{next(j for j in adj_x[i - 1] if part_y[j] == own + 4)} (chain {idx + 2})"
+                 for i in hx if own + 4 in seen[i]]
+        for label, where in ((own + 3, f"strand {idx + 1}"), (own + 4, f"chain {idx + 2}")):
+            # X taken descending, so each Y vertex of chain idx ends on its least X.
+            first = {j: i for i in reversed(xs[label]) if own in seen[i]
+                     for j in adj_x[i - 1] if part_y[j] == own}
+            leaks += [f"y{j}~x{i} ({where})" for j, i in first.items()]
         checks.append(ClauseCheck(idx, "no-forward-reach", not leaks, (
             "; ".join(sorted(leaks)) if leaks else "no adjacency past the next strand")))
     return DecompositionLemmaReport(tuple(checks))

@@ -149,7 +149,8 @@ def _cmd_order(args: argparse.Namespace) -> int:
     right_x = blank + [right for _, right, _ in ordering.intervals]
     # Per Y position, the least and greatest X position among its neighbours.
     xpos = {i: p for p, i in enumerate(xperm, start=1)}
-    hoods = [[xpos[i] for i in g.neighbors_y(j)] for j in ordering.yperm]
+    cols = g.columns()
+    hoods = [[xpos[i] for i in cols[j - 1]] for j in ordering.yperm]
     left_y = [min(ps, default=None) for ps in hoods]
     right_y = [max(ps, default=None) for ps in hoods]
     if args.json:

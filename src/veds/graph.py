@@ -5,11 +5,13 @@ Vertices are addressed 1-based on each side: ``x1..x{n1}`` and ``y1..y{n2}``.
 A vertex w ve-dominates an edge uv when w lies in the closed neighbourhood of
 u or of v; a set D is a vertex-edge dominating set (VED-set) when every edge
 is ve-dominated by some member of D.
+
+A graph is stored as its X rows only; ``columns`` derives the Y side.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, islice
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
@@ -59,18 +61,17 @@ def parse_vertex_name(text: str) -> VertexRef:
 
 
 class BipartiteGraph(NamedTuple):
-    """Immutable bipartite graph with adjacency stored sorted on both sides.
+    """Immutable bipartite graph stored as its X rows.
 
-    ``adj_x[i - 1]`` is the ascending tuple of Y-indices adjacent to ``x_i``;
-    ``adj_y`` mirrors it.  The two maps are mutually consistent by
-    construction, so bipartiteness always holds and parallel edges or loops
-    cannot be expressed.
+    ``adj_x[i - 1]`` is the ascending tuple of Y-indices adjacent to ``x_i``.
+    Every edge is stored once, so bipartiteness always holds and parallel
+    edges or loops cannot be expressed.  The Y side is derived on demand by
+    ``columns``.
     """
 
     n1: int
     n2: int
     adj_x: tuple[tuple[int, ...], ...]
-    adj_y: tuple[tuple[int, ...], ...]
 
     @property
     def m(self) -> int:
@@ -80,11 +81,15 @@ class BipartiteGraph(NamedTuple):
     def n(self) -> int:
         return self.n1 + self.n2
 
-    def neighbors_x(self, i: int) -> tuple[int, ...]:
-        return self.adj_x[i - 1]
-
-    def neighbors_y(self, j: int) -> tuple[int, ...]:
-        return self.adj_y[j - 1]
+    def columns(self) -> list[list[int]]:
+        """``columns()[j - 1]`` is the ascending list of X-indices adjacent to
+        ``y_j``.  Builds the transpose of ``adj_x`` afresh in O(n + m) on
+        every call, so call it once per use, never inside a loop."""
+        cols: list[list[int]] = [[] for _ in range(self.n2)]
+        for i, nb in enumerate(self.adj_x, start=1):
+            for j in nb:
+                cols[j - 1].append(i)
+        return cols
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (x-index, y-index) in ascending order."""
@@ -136,22 +141,18 @@ def _from_rows(n2: int, rows: list[list[int]]) -> BipartiteGraph:
 
     Rows may hold duplicates in any order, but every index must lie in
     1..n2.  A row that is not already strictly ascending is sorted and
-    deduplicated once; ``adj_y`` is filled by sweeping the rows in X order,
-    so its lists come out ascending without a second sort.
+    deduplicated once.
     """
     adj_x = tuple(
         tuple(row) if all(map(lt, row, islice(row, 1, None))) else tuple(sorted(set(row)))
         for row in rows
     )
-    cols: list[list[int]] = [[] for _ in range(n2)]
-    for i, nb in enumerate(adj_x, start=1):
-        for j in nb:
-            cols[j - 1].append(i)
-    return BipartiteGraph(n1=len(rows), n2=n2, adj_x=adj_x, adj_y=tuple(map(tuple, cols)))
+    return BipartiteGraph(n1=len(rows), n2=n2, adj_x=adj_x)
 
 
 def _coverage(g: BipartiteGraph, d: Iterable[VertexRef]) -> tuple[list[bool], list[bool]]:
-    """covered_x[i-1] is true when x_i or a neighbour of x_i lies in d."""
+    """covered_x[i-1] is true when x_i or a neighbour of x_i lies in d, and
+    covered_y likewise; both are read off the X rows."""
     in_x = [False] * g.n1
     in_y = [False] * g.n2
     for v in d:
@@ -160,7 +161,10 @@ def _coverage(g: BipartiteGraph, d: Iterable[VertexRef]) -> tuple[list[bool], li
         else:
             in_y[v.index - 1] = True
     covered_x = [in_x[i] or any(in_y[j - 1] for j in g.adj_x[i]) for i in range(g.n1)]
-    covered_y = [in_y[j] or any(in_x[i - 1] for i in g.adj_y[j]) for j in range(g.n2)]
+    covered_y = in_y[:]
+    for nb in compress(g.adj_x, in_x):
+        for j in nb:
+            covered_y[j - 1] = True
     return covered_x, covered_y
 
 
@@ -183,7 +187,7 @@ def first_undominated_edge(g: BipartiteGraph, d: Iterable[VertexRef]) -> tuple[i
 def is_ve_dominating_set(g: BipartiteGraph, d: Iterable[VertexRef]) -> bool:
     """True iff every edge uv of g has a vertex of d within N[u] or N[v].
 
-    Runs in O(n + m) via one coverage pass over both sides.
+    Runs in O(n + m) via one coverage pass over the X rows.
     """
     return first_undominated_edge(g, d) is None
 
@@ -194,6 +198,7 @@ def connected_components(g: BipartiteGraph) -> list[tuple[tuple[int, ...], tuple
     Isolated vertices appear as singleton components.  Order is deterministic:
     by smallest contained index, X-anchored components before Y-only ones.
     """
+    cols = g.columns()
     seen_x = [False] * g.n1
     seen_y = [False] * g.n2
     comps: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -209,13 +214,13 @@ def connected_components(g: BipartiteGraph) -> list[tuple[tuple[int, ...], tuple
                     continue
                 seen_x[v.index - 1] = True
                 xs.append(v.index)
-                stack.extend(yref(j) for j in g.neighbors_x(v.index))
+                stack.extend(yref(j) for j in g.adj_x[v.index - 1])
             else:
                 if seen_y[v.index - 1]:
                     continue
                 seen_y[v.index - 1] = True
                 ys.append(v.index)
-                stack.extend(xref(i) for i in g.neighbors_y(v.index))
+                stack.extend(xref(i) for i in cols[v.index - 1])
         return tuple(sorted(xs)), tuple(sorted(ys))
 
     for i in range(1, g.n1 + 1):

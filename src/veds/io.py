@@ -59,15 +59,6 @@ _CHUNK = 1 << 16
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
 
 
-def _meaningful_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
-
-
 def _ints(parts: list[str], lineno: int) -> list[int]:
     try:
         return [int(p) for p in parts]
@@ -231,7 +222,10 @@ def load_graph(path: str | Path) -> tuple[BipartiteGraph, tuple[int, ...] | None
 def parse_set_system_text(text: str) -> SetSystem:
     universe: int | None = None
     sets: list[frozenset[int]] = []
-    for lineno, line in _meaningful_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         parts = line.split()
         keyword = parts[0]
         if keyword == "universe":

@@ -51,25 +51,18 @@ def brute_force_gamma_ve(
     edges = list(g.edges())
     if not edges:
         return SolveResult(0, frozenset(), ())
-    edge_bit = {e: 1 << k for k, e in enumerate(edges)}
     incident_x = [0] * (g.n1 + 1)
     incident_y = [0] * (g.n2 + 1)
+    for k, (i, j) in enumerate(edges):
+        incident_x[i] |= 1 << k
+        incident_y[j] |= 1 << k
+    # Edges dominated by v: those incident to v's closed neighbourhood.
+    reach_x, reach_y = incident_x[:], incident_y[:]
     for i, j in edges:
-        incident_x[i] |= edge_bit[(i, j)]
-        incident_y[j] |= edge_bit[(i, j)]
+        reach_x[i] |= incident_y[j]
+        reach_y[j] |= incident_x[i]
     order = list(g.vertices())
-    masks = []
-    for v in order:
-        # Edges dominated by v: those incident to v's closed neighbourhood.
-        if v.side == "x":
-            acc = incident_x[v.index]
-            for j in g.neighbors_x(v.index):
-                acc |= incident_y[j]
-        else:
-            acc = incident_y[v.index]
-            for i in g.neighbors_y(v.index):
-                acc |= incident_x[i]
-        masks.append(acc)
+    masks = reach_x[1:] + reach_y[1:]
     combo = _least_cover(masks, (1 << len(edges)) - 1, g.n)
     return SolveResult(len(combo), frozenset(order[k] for k in combo), ())
 

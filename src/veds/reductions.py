@@ -275,8 +275,8 @@ def verify_tree_convexity(g: BipartiteGraph, cert: TreeCertificate) -> TreeConve
         )
     if g.n1 > 0 and len(_reach(adj, 1, adj)) != g.n1:
         raise InputError("certificate edges do not form a spanning tree of X")
-    for j in range(1, g.n2 + 1):
-        hood = set(g.neighbors_y(j))
+    for j, col in enumerate(g.columns(), start=1):
+        hood = set(col)
         if len(hood) > 1 and _reach(adj, min(hood), hood) != hood:
             return TreeConvexityCheck(False, j)
     return TreeConvexityCheck(True, None)

@@ -60,7 +60,7 @@ def induced_subgraph(g: BipartiteGraph, xs, ys) -> BipartiteGraph:
     edges = [
         (k + 1, y_to_sub[j])
         for k, i in enumerate(xs)
-        for j in g.neighbors_x(i)
+        for j in g.adj_x[i - 1]
         if j in y_to_sub
     ]
     return build_graph(len(xs), len(ys), edges)
@@ -70,7 +70,7 @@ def is_chain_graph(g: BipartiteGraph) -> bool:
     """Reference helper: true iff the X-neighbourhoods are totally ordered
     by inclusion."""
     hoods = sorted(
-        (frozenset(g.neighbors_x(i)) for i in range(1, g.n1 + 1)),
+        (frozenset(nb) for nb in g.adj_x),
         key=lambda s: -len(s),
     )
     return all(b <= a for a, b in zip(hoods, hoods[1:]))
@@ -79,13 +79,15 @@ def is_chain_graph(g: BipartiteGraph) -> bool:
 def naive_undominated_edges(g: BipartiteGraph, d) -> list[tuple[int, int]]:
     """Independent restatement: the edges, in ascending order, with no member
     of d within the union of their endpoints' closed neighbourhoods, checked
-    by a double loop."""
+    by a double loop over neighbourhoods read off the edge list once."""
     d = set(d)
+    hoods = {}
+    for i, j in g.edges():
+        hoods.setdefault(("x", i), set()).add(("y", j))
+        hoods.setdefault(("y", j), set()).add(("x", i))
     undominated = []
     for i, j in g.edges():
-        hood = {("x", i), ("y", j)}
-        hood.update(("y", k) for k in g.neighbors_x(i))
-        hood.update(("x", k) for k in g.neighbors_y(j))
+        hood = {("x", i), ("y", j)} | hoods[("x", i)] | hoods[("y", j)]
         if not any((v.side, v.index) in hood for v in d):
             undominated.append((i, j))
     return undominated

@@ -39,22 +39,22 @@ def small_graphs():
 def test_build_single_edge():
     g = build_graph(1, 1, [(1, 1)])
     assert g.m == 1
-    assert g.neighbors_x(1) == (1,)
-    assert g.neighbors_y(1) == (1,)
+    assert g.adj_x == ((1,),)
+    assert g.columns() == [[1]]
 
 
 def test_build_counterexample(counterexample):
     assert (counterexample.n1, counterexample.n2) == (3, 3)
     assert counterexample.m == 5
     assert counterexample.adj_x == ((1, 2), (2,), (2, 3))
-    assert counterexample.adj_y == ((1,), (1, 2, 3), (3,))
+    assert counterexample.columns() == [[1], [1, 2, 3], [3]]
 
 
 def test_build_collapses_duplicates():
     g = build_graph(2, 2, [(1, 1), (1, 1)])
     assert g.m == 1
-    assert g.neighbors_x(2) == ()
-    assert g.neighbors_y(2) == ()
+    assert g.adj_x == ((1,), ())
+    assert g.columns() == [[1], []]
 
 
 def test_build_rejects_out_of_range():
@@ -107,6 +107,10 @@ def test_verifier_matches_naive_double_loop(g, data):
     first = undominated[0] if undominated else None
     assert _undominated(g, d) == (first, len(undominated))
     assert first_undominated_edge(g, d) == first
+    # The Y neighbourhoods are the transpose of the edge list, isolated
+    # vertices on either side included.
+    edges = sorted(g.edges())
+    assert g.columns() == [[i for i, j in edges if j == y] for y in range(1, g.n2 + 1)]
 
 
 @settings(max_examples=80, deadline=None)

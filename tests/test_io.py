@@ -282,8 +282,8 @@ def test_bulk_reader_memory_and_shared_ints():
     loop_peak, (g2, _) = peak(io._read_lines)
     assert g == g2 and g.m > 95_000
     assert bulk_peak <= loop_peak
-    ints = {id(v) for side in (g.adj_x, g.adj_y) for nb in side for v in nb}
-    assert len(ints) <= g.n1 + g.n2
+    ints = {id(v) for nb in g.adj_x for v in nb}
+    assert len(ints) <= g.n2
 
 
 EDGE_FORMS = ("edge {} {}", "\tedge\t{}\t{}", "  edge {}  {} # c", "edge {} {}\t")
@@ -342,15 +342,30 @@ def test_set_system_round_trip():
 
 
 @pytest.mark.parametrize(
-    "text,fragment",
+    "text,message",
     [
-        ("set 1: 1\n", "before 'universe'"),
-        ("universe 2\nset 2: 1\n", "consecutive"),
-        ("universe 2\nset 1: 5\n", "out of range"),
-        ("universe 2\nset 1:\n", "empty"),
-        ("universe 2\n", "no sets"),
+        pytest.param("set 1: 1\n", "line 1: 'set' before 'universe'",
+                     id="set 1: 1\n-before 'universe'"),
+        pytest.param("universe 2\nset 2: 1\n",
+                     "line 2: set indices must be consecutive from 1 (expected 1, got 2)",
+                     id="universe 2\nset 2: 1\n-consecutive"),
+        pytest.param("universe 2\nset 1: 5\n", "line 2: element 5 out of range",
+                     id="universe 2\nset 1: 5\n-out of range"),
+        pytest.param("universe 2\nset 1:\n", "line 2: set 1 is empty",
+                     id="universe 2\nset 1:\n-empty"),
+        pytest.param("universe 2\n", "set system declares no sets", id="universe 2\n-no sets"),
+        # Blank and comment lines count towards the line numbers.
+        pytest.param("\nuniverse 2\nfrobnicate 1\n", "line 3: unknown directive 'frobnicate'",
+                     id="blank-then-unknown-directive"),
+        pytest.param("# c\nuniverse 2\n\nuniverse 3\n", "line 4: duplicate universe line",
+                     id="comment-then-duplicate-universe"),
+        pytest.param("universe 2\n# c\nset 1 1 2\n", "line 3: expected 'set <j>: <elements>'",
+                     id="comment-then-set-without-colon"),
+        pytest.param("\n\nuniverse 2\nset 1: 1 two\n", "line 4: expected integers, got '1 two'",
+                     id="blank-then-non-integer"),
     ],
 )
-def test_set_system_parse_errors(text, fragment):
-    with pytest.raises(InputError, match=fragment):
+def test_set_system_parse_errors(text, message):
+    with pytest.raises(InputError) as exc:
         parse_set_system_text(text)
+    assert str(exc.value) == message

@@ -160,7 +160,7 @@ def _reference_generator(cfg, rejected):
             return g
         # Disconnected with every Y covered: two intervals touch, such as
         # [1, 2] and [3, 4], without sharing a Y vertex.
-        rejected.add("touching" if all(g.adj_y) else "uncovered")
+        rejected.add("touching" if len(set().union(*g.adj_x)) == g.n2 else "uncovered")
     raise GenerationError(
         f"no connected instance after {GENERATION_RETRIES} draws "
         f"(n1={cfg.n1}, n2={cfg.n2}, density={cfg.density}); try a higher density"

@@ -98,12 +98,12 @@ def test_lex_matches_comparison_sort_reference():
         ypos = {j: p for p, j in enumerate(range(1, g.n2 + 1), start=1)}
         keys = {}
         for i in range(1, g.n1 + 1):
-            nb = g.neighbors_x(i)
+            nb = g.adj_x[i - 1]
             ps = [ypos[j] for j in nb]
             keys[i] = (min(ps), max(ps), i) if ps else (0, 0, i)
         reference = tuple(sorted(range(1, g.n1 + 1), key=keys.__getitem__))
         # Isolated X vertices (key (0, 0, i)) sort first and carry no interval.
-        lex = tuple(i for i in reference if g.neighbors_x(i))
+        lex = tuple(i for i in reference if g.adj_x[i - 1])
         assert tuple(e[2] for e in ordv.intervals) == lex
 
 
@@ -114,7 +114,7 @@ def test_interval_consistency_and_totality(tmp_path, capsys):
         ordv = compute_lex_convex_ordering(g, yperm)
         ypos = {j: p for p, j in enumerate(yperm, start=1)}
         for lo, hi, i in ordv.intervals:
-            positions = sorted(ypos[j] for j in g.neighbors_x(i))
+            positions = sorted(ypos[j] for j in g.adj_x[i - 1])
             assert positions == list(range(lo, hi + 1))
         # The shared interval list is (min, max, x) from adjacency, in lex order.
         expected = sorted(
@@ -135,11 +135,11 @@ def test_interval_consistency_and_totality(tmp_path, capsys):
         payload = order_json(g, yperm, tmp_path, capsys)
         assert payload["yperm"] == list(yperm)
         xperm = payload["xperm"]
-        assert xperm == [i for i in range(1, g.n1 + 1) if not g.neighbors_x(i)] + [
+        assert xperm == [i for i in range(1, g.n1 + 1) if not g.adj_x[i - 1]] + [
             e[2] for e in ordv.intervals
         ]
         for p, i in enumerate(xperm):
-            positions = sorted(ypos[j] for j in g.neighbors_x(i))
+            positions = sorted(ypos[j] for j in g.adj_x[i - 1])
             lo, hi = payload["left_x"][p], payload["right_x"][p]
             if not positions:
                 assert lo is None and hi is None
@@ -147,7 +147,7 @@ def test_interval_consistency_and_totality(tmp_path, capsys):
                 assert positions == list(range(lo, hi + 1))
         xpos = {i: p for p, i in enumerate(xperm, start=1)}
         for p, j in enumerate(yperm):
-            ps = [xpos[i] for i in g.neighbors_y(j)]
+            ps = [xpos[i] for i, k in g.edges() if k == j]
             assert payload["left_y"][p] == min(ps, default=None)
             assert payload["right_y"][p] == max(ps, default=None)
 

@@ -12,6 +12,7 @@ import pytest
 
 import veds
 from veds import (
+    BipartiteGraph,
     GeneratorConfig,
     InputError,
     LexConvexOrdering,
@@ -58,6 +59,11 @@ def public_records():
         GeneratorConfig(4, 5, 0.5, seed=3), cross_check(3, 8, 1),
         Disagreement(1, "graph 1 1\nedge 1 1\n", 1, 2),
     ]
+
+
+def test_graph_record_is_its_x_rows():
+    # Each edge is stored once, in its X row; the Y side is derived.
+    assert BipartiteGraph._fields == ("n1", "n2", "adj_x")
 
 
 def field_names(record):

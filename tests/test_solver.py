@@ -136,8 +136,8 @@ def test_baseline_is_the_decomposition_pivots():
         for (hx, hy), pivot in zip(d.chains, d.pivots):
             first_y = min(hy, key=ordv.y_position)
             assert pivot == max(
-                (i for i in g.neighbors_y(first_y) if i in hx),
-                key=lambda i: (max(ordv.y_position(j) for j in g.neighbors_x(i)), i),
+                (i for i in hx if first_y in g.adj_x[i - 1]),
+                key=lambda i: (max(ordv.y_position(j) for j in g.adj_x[i - 1]), i),
             )
         assert solve_baseline(g, ordv).witness == {xref(p) for p in d.pivots}
 
