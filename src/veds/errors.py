@@ -35,6 +35,9 @@ class CapacityError(VedsError):
 
 
 class GenerationError(VedsError):
-    """Random instance generation exhausted its retry budget."""
+    """Random instance generation exhausted its retry budget, or was refused
+    before any draw because its retries could never succeed: a connected
+    request whose mean interval length is at most 1 over two or more Y
+    positions, reported with the message the exhausted budget gives."""
 
     exit_code = 1

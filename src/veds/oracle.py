@@ -115,6 +115,11 @@ def gen_random_convex_bipartite(cfg: GeneratorConfig) -> BipartiteGraph:
     graph is connected iff the sorted intervals form a single overlap run
     spanning 1..n2.  That costs O(n1 log n1) per draw; only the accepted
     draw is built into a graph, in O(n + m).
+
+    A connected request whose mean interval length is at most 1 over
+    n2 >= 2 positions is refused before any draw: every interval is then a
+    single position, no two overlap, and every draw would be rejected.  The
+    error is the one the exhausted retry budget gives.
     """
     if cfg.n1 < 1 or cfg.n2 < 1:
         raise InputError(f"generator needs n1, n2 >= 1 (got {cfg.n1}, {cfg.n2})")
@@ -123,7 +128,10 @@ def gen_random_convex_bipartite(cfg: GeneratorConfig) -> BipartiteGraph:
     rng = random.Random(cfg.seed)
     n1, n2 = cfg.n1, cfg.n2
     mean = cfg.density * n2
-    for _ in range(GENERATION_RETRIES):
+    # _geometric returns 1 whenever mean <= 1.0: no two intervals overlap,
+    # so no draw could connect n2 >= 2 positions.
+    never_connected = cfg.require_connected and n2 > 1 and mean <= 1.0
+    for _ in range(0 if never_connected else GENERATION_RETRIES):
         spans: list[Interval] = []
         for i in range(1, n1 + 1):
             length = min(n2, _geometric(rng, mean))

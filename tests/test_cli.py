@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import veds
+import veds.oracle
 from veds import counterexample_graph, format_graph_text, identity_permutation
 from veds.cli import build_parser, main
 
@@ -237,6 +239,27 @@ def test_gen_is_deterministic_and_loadable(capsys, tmp_path):
     path.write_text(out1)
     code, out, _ = run(capsys, "solve", str(path), "--json")
     assert code == 0 and json.loads(out)["gamma_ve"] >= 0
+
+
+class _NoDrawRandom(random.Random):
+    def random(self, *args):
+        raise AssertionError("the generator drew")
+
+    getrandbits = random
+
+
+def test_gen_refuses_unconnectable_request_at_once(capsys, monkeypatch):
+    # Every interval has length 1 at this density, so no draw can connect
+    # the two Y vertices; a million X vertices cost nothing.  A draw fails
+    # the test at once rather than after 500 draws of a million intervals.
+    monkeypatch.setattr(veds.oracle.random, "Random", _NoDrawRandom)
+    code, out, err = run(capsys, "gen", "convex", "--n1", "1000000", "--n2", "2",
+                         "--density", "0.25", "--seed", "1", "--connected")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: no connected instance after 500 draws "
+        "(n1=1000000, n2=2, density=0.25); try a higher density\n"
+    )
 
 
 def test_text_and_json_report_identical_values(cbg, capsys):

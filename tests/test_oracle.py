@@ -1,8 +1,10 @@
 import hashlib
+import math
 import random
 
 import pytest
 
+import veds.oracle
 from veds import (
     CapacityError,
     GenerationError,
@@ -20,7 +22,7 @@ from veds import (
     xref,
     yref,
 )
-from veds.oracle import GENERATION_RETRIES, _geometric
+from veds.oracle import GENERATION_RETRIES, _geometric, random_connected_instance
 
 from conftest import naive_ve_dominates
 
@@ -127,18 +129,30 @@ def _pinned_configs():
     return configs
 
 
+def _never_connected(cfg):
+    """Whether the generator refuses ``cfg`` before drawing: a connected
+    request whose intervals all have length 1 over two or more positions."""
+    return cfg.require_connected and cfg.n2 > 1 and cfg.density * cfg.n2 <= 1.0
+
+
 def test_generator_output_is_pinned():
     # The digest was taken before connectivity was decided on the drawn
-    # intervals; any change to what a seed yields shows here.
+    # intervals and before unconnectable configs were refused without a
+    # draw; any change to what a seed yields shows here.
     digest = hashlib.sha256()
-    errors = 0
+    refused = exhausted = 0
     for cfg in _pinned_configs():
         try:
             digest.update(format_graph_text(gen_random_convex_bipartite(cfg)).encode())
         except GenerationError as exc:
-            errors += 1
+            if _never_connected(cfg):
+                refused += 1
+            else:
+                exhausted += 1
             digest.update(f"GenerationError: {exc}\n".encode())
-    assert errors == 90
+        else:
+            assert not _never_connected(cfg), cfg
+    assert (refused, exhausted) == (79, 11)
     assert digest.hexdigest() == (
         "336fc24dcb2d838cabd32799efe9cbee4f81812bfa4dc494721c557ce2fae078"
     )
@@ -192,6 +206,96 @@ def test_generator_matches_build_every_draw_reference():
     assert outcomes == {"graph", "error"}
 
 
+def _outcome(generate, cfg):
+    """The graph ``generate(cfg)`` returns, or the text of its GenerationError."""
+    try:
+        return generate(cfg)
+    except GenerationError as exc:
+        return f"GenerationError: {exc}"
+
+
+def _least_density_over(n2):
+    """The least float density whose mean interval length exceeds 1.0."""
+    density = 1 / n2
+    while density * n2 <= 1.0:
+        density = math.nextafter(density, 1.0)
+    return density
+
+
+def _boundary_configs():
+    for n1 in (1, 2, 5):
+        for seed in (0, 1, 77):
+            # Mean interval length exactly 1.0: refused without a draw.
+            yield GeneratorConfig(n1, 2, 0.5, seed, True)
+            yield GeneratorConfig(n1, 3, 1 / 3, seed, True)
+            yield GeneratorConfig(n1, 4, 0.25, seed, True)
+            # One Y position: every draw is connected however short.
+            yield GeneratorConfig(n1, 1, 0.5, seed, True)
+            yield GeneratorConfig(n1, 1, 1.0, seed, True)
+            # Mean just above 1.0: the draw loop runs.
+            for n2 in (2, 3, 4):
+                yield GeneratorConfig(n1, n2, _least_density_over(n2), seed, True)
+            # Connectivity not asked for: every config draws.
+            yield GeneratorConfig(n1, 2, 0.25, seed, False)
+            yield GeneratorConfig(n1, 4, 0.25, seed, False)
+
+
+class _CountingRandom(random.Random):
+    """Counts ``random`` and ``getrandbits`` calls; fails past ``cap`` of them,
+    so a generator that draws where it should not fails fast."""
+
+    calls = 0
+    cap = math.inf
+
+    def _count(self):
+        _CountingRandom.calls += 1
+        assert _CountingRandom.calls <= _CountingRandom.cap, "drew past the cap"
+
+    def random(self):
+        self._count()
+        return super().random()
+
+    def getrandbits(self, k):
+        self._count()
+        return super().getrandbits(k)
+
+
+def test_generator_boundary_matches_full_loop(monkeypatch):
+    monkeypatch.setattr(veds.oracle.random, "Random", _CountingRandom)
+    monkeypatch.setattr(_CountingRandom, "calls", 0)
+    outcomes = set()
+    for cfg in _boundary_configs():
+        _CountingRandom.calls = 0
+        got = _outcome(gen_random_convex_bipartite, cfg)
+        # Only a refused config draws nothing; mean exactly 1.0 is refused.
+        assert (_CountingRandom.calls == 0) == _never_connected(cfg), cfg
+        assert got == _outcome(lambda c: _reference_generator(c, set()), cfg), cfg
+        if cfg.n2 == 1:
+            assert list(got.edges()) == [(i, 1) for i in range(1, cfg.n1 + 1)]
+        outcomes.add(
+            (_never_connected(cfg), "error" if isinstance(got, str) else "graph")
+        )
+    # Exhausted retries just above the threshold, graphs on both sides of it.
+    assert outcomes == {(True, "error"), (False, "error"), (False, "graph")}
+
+
+def test_generator_refuses_unconnectable_config_without_drawing(monkeypatch):
+    monkeypatch.setattr(veds.oracle.random, "Random", _CountingRandom)
+    monkeypatch.setattr(_CountingRandom, "calls", 0)
+    # The counter sees the draws of a config that does draw.
+    gen_random_convex_bipartite(GeneratorConfig(3, 2, 0.75, 1, True))
+    assert _CountingRandom.calls > 0
+    _CountingRandom.calls = 0
+    monkeypatch.setattr(_CountingRandom, "cap", 0)
+    with pytest.raises(GenerationError) as exc:
+        gen_random_convex_bipartite(GeneratorConfig(10**6, 2, 0.25, 1, True))
+    assert _CountingRandom.calls == 0
+    assert str(exc.value) == (
+        "no connected instance after 500 draws "
+        "(n1=1000000, n2=2, density=0.25); try a higher density"
+    )
+
+
 def test_generator_rejects_bad_config():
     from veds.errors import InputError
 
@@ -199,6 +303,45 @@ def test_generator_rejects_bad_config():
         gen_random_convex_bipartite(GeneratorConfig(0, 3, 0.5, 1))
     with pytest.raises(InputError):
         gen_random_convex_bipartite(GeneratorConfig(1, 3, 0.0, 1))
+
+
+# ``veds bench --seed`` values the benchmark's many_small workload passes at
+# its seeds 1 and 2, with what they gave before unconnectable configs were
+# refused without a draw: the report text, a digest of the 99 random
+# instances, and how many configs on the way were refused.
+BENCH_STREAMS = {
+    864539330: (
+        "trials: 100\nagreements: 100\ndisagreements: 0\n"
+        "baseline strict gaps: 1\nbaseline gap max: 1\nbaseline gap total: 1\n",
+        "f519a753d4a3b8e4e9dbf723e6cf01eb26a65b8f89b4828d12095190bfea0966",
+        6,
+    ),
+    220772712: (
+        "trials: 100\nagreements: 100\ndisagreements: 0\n"
+        "baseline strict gaps: 2\nbaseline gap max: 1\nbaseline gap total: 2\n",
+        "b2c783dff4e7909f4038912e60e6ae7941167002db116388dcceeff345cf6c01",
+        14,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_STREAMS))
+def test_bench_stream_is_pinned(seed, monkeypatch):
+    text, instances, refusals = BENCH_STREAMS[seed]
+    assert cross_check(100, 14, seed).to_text() == text
+    refused = []
+
+    def generate(cfg):
+        refused.append(_never_connected(cfg))
+        return gen_random_convex_bipartite(cfg)
+
+    monkeypatch.setattr(veds.oracle, "gen_random_convex_bipartite", generate)
+    digest = hashlib.sha256()
+    for t in range(1, 100):
+        g = random_connected_instance(random.Random(seed * 1_000_003 + t), 14)
+        digest.update(format_graph_text(g).encode())
+    assert digest.hexdigest() == instances
+    assert sum(refused) == refusals
 
 
 def test_cross_check_empty():
