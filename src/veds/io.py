@@ -18,16 +18,17 @@ bulk: a ``graph <n1> <n2>`` line, then ``edge <i> <j>`` lines with ``i``
 non-decreasing, then at most one ``yorder`` line, last; plain ASCII decimals
 with no sign and no leading zero, single spaces, ``\n`` line ends and no
 comments.  Whole-string operations check that shape over the whole file
-before anything is decoded, then one ``json.loads`` decodes each slice of at
-most 64 KiB of edge lines, and every index goes through a
-``list(range(n + 1))`` table, so the graph holds one int object per index.
-Any other text, a malformed one included, goes through the line loop, which
-reads the lines once and words every error; only a digit inside ``edge``,
-an empty or out-of-range index, or X out of order is found after the bulk
-reader has decoded.  Both run in O(L + n1 + n2 + m) time for a file of L
-characters and m edges whose rows come ascending, plus one sort per X vertex
-whose row does not; the bulk reader needs O(64 KiB + n1 + n2 + m) memory
-besides the text.
+before anything is decoded, every line start included, then one
+``str.translate`` pass and one ``json.loads`` decode each slice of at most
+64 KiB of edge lines.  Every Y index goes through a ``list(range(n2 + 1))``
+table, so the graph holds one int object per Y index; the X column is only
+checked to be ascending and at most ``n1``.  Any other text, a malformed one
+included, goes through the line loop, which reads the lines once and words
+every error; only an empty or out-of-range index, or X out of order, is
+found after the bulk reader has decoded.  Both run in O(L + n1 + n2 + m)
+time for a file of L characters and m edges whose rows come ascending, plus
+one sort per X vertex whose row does not; the bulk reader needs
+O(64 KiB + n1 + n2 + m) memory besides the text.
 
 A graph header may declare at most ``MAX_DECLARED`` vertices and a set system
 a universe of at most that size (``CapacityError``), so a short file cannot
@@ -57,6 +58,7 @@ __all__ = [
 MAX_DECLARED = 10**7
 _CHUNK = 1 << 16
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
+_TO_JSON = str.maketrans(" ", ",", "edg\n")
 
 
 def _ints(parts: list[str], lineno: int) -> list[int]:
@@ -103,36 +105,40 @@ def _read_canonical(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None] 
         last = len(text)
     # The whole edge block is checked before anything is decoded, so a text
     # that is valid but not canonical costs string scans only: slice by
-    # slice, deleting the digits must leave 'edge  \n' per line, and no digit
-    # run may start with 0 (index 0 is out of range and 007 not canonical).
-    # A digit inside 'edge ' or an empty digit run, always an error, is left
-    # to json to refuse.
+    # slice, every line must start with 'edge ' (pos - 1 is always a
+    # newline), deleting the digits must then leave 'edge  \n' per line, and
+    # no digit run may start with 0 (index 0 is out of range and 007 not
+    # canonical).  Each line is then 'edge ' digits ' ' digits; an empty
+    # digit run, always an error, is left to json to refuse.
     if text.find(" 0", end, last) >= 0:
         return None
     stops = []
     pos = end + 1
     while pos < last:
         stop = text.rfind("\n", pos, min(pos + _CHUNK, last)) + 1
-        if (stop <= pos or text[pos:stop].translate(_DROP_DIGITS)
-                != "edge  \n" * text.count("\n", pos, stop)):
+        lines = text.count("\n", pos, stop)
+        if (stop <= pos or text.count("\nedge ", pos - 1, stop - 1) != lines
+                or text[pos:stop].translate(_DROP_DIGITS) != "edge  \n" * lines):
             return None
         stops.append(stop)
         pos = stop
-    xtab, ytab = list(range(n1 + 1)), list(range(n2 + 1))
+    ytab = list(range(n2 + 1))
     xs: list[int] = []
     ys: list[int] = []
     pos = end + 1
     for stop in stops:
         try:
-            nums = json.loads(
-                "[" + text[pos + 5:stop - 1].replace("\nedge ", ",").replace(" ", ",") + "]")
-            xs += map(xtab.__getitem__, nums[::2])
-            ys += map(ytab.__getitem__, nums[1::2])
-        except (ValueError, IndexError):  # a stray digit, an empty or huge run, a big index
+            # 'edge i j\n' becomes ',i,j': the list is 0 and then the pairs.
+            nums = json.loads("[0" + text[pos:stop].translate(_TO_JSON) + "]")
+            xs += nums[1::2]
+            ys += map(ytab.__getitem__, nums[2::2])
+        except (ValueError, IndexError):  # an empty or huge run, a big Y index
             return None
         pos = stop
-    if xs != sorted(xs):
-        return None  # format_graph_text writes X ascending; the line loop reads the rest
+    # X >= 1 by the ' 0' scan; format_graph_text writes X ascending, and the
+    # line loop reads the rest.
+    if xs != sorted(xs) or xs and xs[-1] > n1:
+        return None
     cuts = [bisect_left(xs, i) for i in range(1, n1 + 2)]
     rows = [ys[a:b] for a, b in zip(cuts, islice(cuts, 1, None))]
     del xs, ys

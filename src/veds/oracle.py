@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .chains import _coverage_runs
 from .errors import CapacityError, GenerationError, InputError
-from .graph import BipartiteGraph, build_graph
+from .graph import BipartiteGraph, _from_rows
 from .io import format_graph_text
 from .ordering import Interval, compute_lex_convex_ordering, identity_permutation
 from .reductions import SetSystem, _least_cover
@@ -114,7 +114,7 @@ def gen_random_convex_bipartite(cfg: GeneratorConfig) -> BipartiteGraph:
     A draw is decided on its intervals alone: every X vertex has one, so the
     graph is connected iff the sorted intervals form a single overlap run
     spanning 1..n2.  That costs O(n1 log n1) per draw; only the accepted
-    draw is built into a graph, in O(n + m).
+    draw is built into a graph, one row per span, in O(n + m).
 
     A connected request whose mean interval length is at most 1 over
     n2 >= 2 positions is refused before any draw: every interval is then a
@@ -138,11 +138,10 @@ def gen_random_convex_bipartite(cfg: GeneratorConfig) -> BipartiteGraph:
             a = rng.randint(1, n2 - length + 1)
             spans.append((a, a + length - 1, i))
         if cfg.require_connected:
-            spans.sort()
-            (_, lo, hi), *rest = _coverage_runs(spans)
+            (_, lo, hi), *rest = _coverage_runs(sorted(spans))
             if rest or (lo, hi) != (1, n2):
                 continue
-        return build_graph(n1, n2, ((i, j) for a, b, i in spans for j in range(a, b + 1)))
+        return _from_rows(n2, [list(range(a, b + 1)) for a, b, _ in spans])
     raise GenerationError(
         f"no connected instance after {GENERATION_RETRIES} draws "
         f"(n1={cfg.n1}, n2={cfg.n2}, density={cfg.density}); try a higher density"

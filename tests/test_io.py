@@ -6,12 +6,14 @@ import pytest
 
 from veds import (
     CapacityError,
+    GeneratorConfig,
     InputError,
     SetSystem,
     VedsError,
     build_graph,
     format_graph_text,
     format_set_system_text,
+    gen_random_convex_bipartite,
     parse_graph_text,
     parse_set_system_text,
 )
@@ -218,8 +220,15 @@ BULK_CASES = [
     ("graph 2 3\nedge 3 1\n", False),
     ("graph 2 3\nedge 1 02\n", False),
     ("graph 2 3\nedge 1 \n", False),  # an empty index, refused by json
-    ("graph 2 3\nedge 1 2\n1edge 2 3\n", False),  # digits in 'edge', refused by json
+    ("graph 2 3\nedge 1 2\n1edge 2 3\n", False),  # a line not starting 'edge '
     ("graph 2 3\nedge1 2 3\n", False),
+    # A digit glued into 'edge', with n2 large enough that a reader which
+    # dropped the letters would read an edge in range, (1, 21) or (1, 5).
+    ("graph 2 30\nedge 1 2\n1edge 2 3\n", False),
+    ("graph 3 30\nedge 1 2\nedge1 2 3\n", False),
+    ("graph 3 30\nedge 1 2\ne1dge 2 3\n", False),
+    ("graph 3 30\nedge 1 \n5edge 2 3\n", False),
+    ("graph 3 30\nedge 1 2\nedge 12345678901234567890 3\n", False),  # a huge X
     ("graph 2 3\nedge 1 2\nyorder 1 2\n", False),
     ("graph 2 3\nedge 1 2\nyorder 1 2 3\nyorder 1 2 3\n", False),
     ("graph 2 -3\n", False),
@@ -247,6 +256,12 @@ LATE_FAULTS = [
     lambda t: t.replace("\nedge 399 ", "\nedge 0399 "),
     lambda t: t.replace("\nedge 400 400\n", "\nedge 400  400\n"),
     lambda t: t.replace("\nedge 400 400\n", "\nedge 400 4\uff10\n"),
+    # A digit glued into 'edge': the digits still read as X ascending and Y
+    # in range once the letters are gone, so only the line starts tell.
+    lambda t: t.replace("\nedge 399 399\n", "\nedge3 99 399\n"),
+    lambda t: t.replace("\nedge 399 399\n", "\ne3dge 99 399\n"),
+    lambda t: t.replace("\nedge 399 399\n", "\n3edge 99 399\n"),
+    lambda t: t.replace("\nedge 399 400\nedge 400 400\n", "\nedge 399 \n400edge 400 400\n"),
 ]
 
 
@@ -261,6 +276,22 @@ def test_bulk_reader_declines_late_faults_before_decoding(fault, monkeypatch):
     monkeypatch.setattr(io, "json", SimpleNamespace(loads=refuse))
     assert io._read_canonical(text) is None
     assert outcome(parse_graph_text, text) == outcome(io._read_lines, text)
+
+
+def test_bulk_reader_agrees_on_digits_glued_into_edge():
+    # One digit inserted into one 'edge ' token of a canonical text.  With
+    # n2 >= 30, a reader that lost the token would mostly misread the digit
+    # as part of an index still in range, not refuse it.
+    rng = random.Random(1931)
+    for _ in range(1500):
+        cfg = GeneratorConfig(n1=rng.randint(1, 12), n2=rng.randint(30, 60),
+                              density=rng.uniform(0.02, 0.2), seed=rng.getrandbits(48))
+        text = format_graph_text(gen_random_convex_bipartite(cfg))
+        starts = [k + 1 for k, c in enumerate(text) if c == "\n"][:-1]
+        k = rng.choice(starts) + rng.randrange(5)
+        text = text[:k] + rng.choice("0123456789") + text[k:]
+        assert io._read_canonical(text) is None, repr(text)
+        assert outcome(parse_graph_text, text) == outcome(io._read_lines, text), repr(text)
 
 
 def test_bulk_reader_memory_and_shared_ints():
