@@ -304,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--algorithm", choices=["exact", "baseline", "bruteforce"], default="exact")
     p.add_argument("--emit-set", action="store_true", help="print the witness set")
-    p.add_argument("--trace", action="store_true", help="print recursion decisions")
+    p.add_argument(
+        "--trace", action="store_true", help="print the solver's decisions in the order it made them"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_solve)
 

@@ -261,7 +261,7 @@ def parse_set_system_text(text: str) -> SetSystem:
             if not members:
                 raise InputError(f"line {lineno}: set {idx} is empty")
             for e in members:
-                if universe is not None and not 1 <= e <= universe:
+                if not 1 <= e <= universe:
                     raise InputError(f"line {lineno}: element {e} out of range")
             sets.append(frozenset(members))
         else:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .chains import _coverage_runs
 from .errors import CapacityError, GenerationError, InputError
 from .graph import BipartiteGraph, _from_rows
-from .io import format_graph_text
+from .io import MAX_DECLARED, format_graph_text
 from .ordering import Interval, compute_lex_convex_ordering, identity_permutation
 from .reductions import SetSystem, _least_cover
 from .solver import SolveResult, counterexample_graph, solve_baseline, solve_exact
@@ -116,18 +116,27 @@ def gen_random_convex_bipartite(cfg: GeneratorConfig) -> BipartiteGraph:
     spanning 1..n2.  That costs O(n1 log n1) per draw; only the accepted
     draw is built into a graph, one row per span, in O(n + m).
 
-    A connected request whose mean interval length is at most 1 over
-    n2 >= 2 positions is refused before any draw: every interval is then a
-    single position, no two overlap, and every draw would be rejected.  The
-    error is the one the exhausted retry budget gives.
+    A request of more than ``io.MAX_DECLARED`` vertices, or of more than
+    that many expected edges (n1 times the mean interval length), is a
+    ``CapacityError`` before any draw: ``veds solve`` refuses such a file,
+    and drawing it would take unbounded time.  A connected request whose
+    mean interval length is at most 1 over n2 >= 2 positions is refused
+    before any draw too: every interval is then a single position, no two
+    overlap, and every draw would be rejected.  The error is the one the
+    exhausted retry budget gives.
     """
     if cfg.n1 < 1 or cfg.n2 < 1:
         raise InputError(f"generator needs n1, n2 >= 1 (got {cfg.n1}, {cfg.n2})")
     if not 0.0 < cfg.density <= 1.0:
         raise InputError(f"density must lie in (0, 1], got {cfg.density}")
-    rng = random.Random(cfg.seed)
     n1, n2 = cfg.n1, cfg.n2
     mean = cfg.density * n2
+    if n1 + n2 > MAX_DECLARED or n1 * min(n2, max(1.0, mean)) > MAX_DECLARED:
+        raise CapacityError(
+            f"the generator is capped at {MAX_DECLARED} vertices and {MAX_DECLARED} "
+            f"expected edges (n1={n1}, n2={n2}, density={cfg.density})"
+        )
+    rng = random.Random(cfg.seed)
     # _geometric returns 1 whenever mean <= 1.0: no two intervals overlap,
     # so no draw could connect n2 >= 2 positions.
     never_connected = cfg.require_connected and n2 > 1 and mean <= 1.0

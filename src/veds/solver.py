@@ -21,16 +21,16 @@ two sweeps over flat tables.  The forward sweep takes requests in
 increasing start and records each new state's kind, committed vertices and
 child requests, filing each child under its start: the x_pivot child's
 window begins at the parent's b, the y_blanket child's at the first
-interval past the blanket.  A split files the root request of a fresh piece
-per run on a work list, so deep instances need no Python recursion.  The
-backward sweep fills in the counts in reverse discovery order, and the
-witness follows the chosen branches from the roots.
+interval past the blanket.  A split queues a fresh piece per run, and the
+pieces are swept first in first out, so deep instances need no Python
+recursion.  The backward sweep fills in the counts in reverse creation
+order, and the witness follows the chosen branches from the roots.
 
 ``solve_exact(g, ordering, trace=True)`` also lists the decisions as
-``TraceStep``s, in the order a recursive evaluation finishes them: the
-x_pivot child first, each state once per piece, a split's runs in order.
-Without it no label is built.  ``SolveResult.stats`` holds counts read off
-the tables.
+``TraceStep``s, one per state in the order the forward sweep creates them:
+the components left to right, each piece in increasing start, and the runs
+of the splits after them in the order the splits were found.  Without it no
+label is built.  ``SolveResult.stats`` holds counts read off the tables.
 
 The baseline solver takes the pivot of each chain that ``chains._peels``
 peels off each connected piece.  It always yields a valid VED-set but is not
@@ -41,6 +41,7 @@ returns two vertices while the optimum is one.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict, deque
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
@@ -60,8 +61,8 @@ __all__ = [
 
 
 class TraceStep(NamedTuple):
-    """One recursion decision: the subproblem's first retained vertices, the
-    branch taken, and the vertex committed (when any)."""
+    """One state's decision: the state's first retained vertices, the branch
+    taken, and the vertex committed (when any)."""
 
     subproblem: tuple[str, str]
     branch: str
@@ -108,26 +109,26 @@ class _Sweep:
     ``rows[s]`` = (kind, pivot, Y position, x_pivot child request,
     y_blanket child request), the Y position being the blanket or the
     universal Y vertex; an unused vertex is 0 and an unused child -1.  A
-    split's run roots are ``runs[s]``.  Request 0 and state 0 stand for the
-    empty remainder (a split into no runs) that a blanket reaching past the
-    last interval leaves; ``stats`` counts neither.  With ``yname`` set,
-    ``labels[s]`` is state s's trace label.
+    split's run roots are ``runs[s]``.  States are numbered in the order the
+    forward sweep creates them, so a child comes after its parent.  Request
+    0 and state 0 stand for the empty remainder (a split into no runs) that
+    a blanket reaching past the last interval leaves; ``stats`` counts
+    neither.  With ``yname`` set, ``labels[s]`` is state s's trace label.
     """
 
     def __init__(self, yname: Callable[[int], str] | None) -> None:
-        self.lo, self.state, self.after = [0], [0], [-1]
+        self.lo, self.state = [0], [0]
         self.rows = [(_SPLIT, 0, 0, -1, -1)]
         self.runs: dict[int, list[int]] = {0: []}
         self.yname = yname
         self.labels: list | None = [None] if yname else None
-        self.work: list[tuple[_Component, int]] = []
+        self.work: deque[tuple[_Component, int]] = deque()
         self.pieces = 0
 
-    def request(self, lo: int, after: int = -1) -> int:
-        """A new request whose window begins at ``lo``, filed before ``after``."""
+    def request(self, lo: int) -> int:
+        """A new request whose window begins at ``lo``."""
         self.lo.append(lo)
         self.state.append(0)
-        self.after.append(after)
         return len(self.lo) - 1
 
     def piece(self, entries: list[Interval], ylo: int, yhi: int) -> int:
@@ -138,25 +139,24 @@ class _Sweep:
         return rid
 
     def forward(self) -> None:
-        """Sweep every queued piece, and the pieces its splits queue."""
+        """Sweep every queued piece, and the pieces its splits queue, first
+        in first out."""
         while self.work:
-            self._sweep(*self.work.pop())
+            self._sweep(*self.work.popleft())
 
     def _sweep(self, comp: _Component, root: int) -> None:
         entries, lefts, sufmin, cut = comp.entries, comp.lefts, comp.sufmin, comp.cut
         ylo, yhi, n, max_left = comp.ylo, comp.yhi, len(comp.entries), comp.lefts[-1]
-        req_lo, req_state, after, request = self.lo, self.state, self.after, self.request
+        req_lo, req_state, request = self.lo, self.state, self.request
         rows, labels, yname = self.rows, self.labels, self.yname
-        # head[start - ylo]: the last request filed under start; each request
-        # links to the one filed before it through `after`.
-        head = [-1] * (yhi - ylo + 1)
-        head[0] = root
+        filed: defaultdict[int, list[int]] = defaultdict(list)  # start -> its requests
+        filed[ylo].append(root)
         for start in range(ylo, yhi + 1):
-            rid = head[start - ylo]
-            if rid < 0:
+            rids = filed.pop(start, None)
+            if rids is None:
                 continue
             seen: dict[int, int] = {}  # first front interval -> state
-            while rid >= 0:
+            for rid in rids:
                 f, b = comp.window(req_lo[rid], start)
                 sid = seen.get(f)
                 if sid is None:
@@ -193,17 +193,16 @@ class _Sweep:
                         # child's window begins at b.
                         blanket = min(first[1], sufmin[b])
                         d = bisect_right(lefts, blanket, b)
-                        slot = reach + 1 - ylo
-                        xchild = head[slot] = request(b, head[slot])
+                        xchild = request(b)
+                        filed[reach + 1].append(xchild)
                         ychild = -1
                         if sufmin[d] > reach:
                             ychild = 0
                             if d < n:
-                                slot = lefts[d] - ylo
-                                ychild = head[slot] = request(d, head[slot])
+                                ychild = request(d)
+                                filed[lefts[d]].append(ychild)
                         rows.append((_PIVOT, pivot, blanket, xchild, ychild))
                 req_state[rid] = sid
-                rid = after[rid]
 
     def backward(self) -> tuple[list[int], bytearray]:
         """Each state's count, and whether it takes its blanket."""
@@ -222,36 +221,10 @@ class _Sweep:
                 count[sid] = sum(count[state[r]] for r in runs[sid])
         return count, blanket
 
-    def children(self, sid: int, blanket: bytearray, all_branches: bool) -> list[int]:
-        """States that ``sid`` reads: every one, or those on its chosen branch."""
-        kind, _, _, xchild, ychild = self.rows[sid]
-        state = self.state
-        if kind == _SPLIT:
-            return [state[r] for r in self.runs[sid]]
-        if kind == _UNIVERSAL:
-            return []
-        if all_branches:
-            return [state[xchild]] if ychild < 0 else [state[xchild], state[ychild]]
-        return [state[ychild] if blanket[sid] else state[xchild]]
-
-    def trace(self, roots: list[int], blanket: bytearray) -> Iterator[TraceStep]:
-        """Each state's step, in the post-order of a recursive evaluation
-        that memoises: x_pivot child first, a state's first visit only."""
+    def trace(self, blanket: bytearray) -> Iterator[TraceStep]:
+        """Each state's step, in the order the forward sweep created it."""
         rows, labels, yname = self.rows, self.labels, self.yname
-        done = bytearray(len(rows))
-        done[0] = 1
-        stack = [self.state[r] for r in reversed(roots)]
-        while stack:
-            sid = stack.pop()
-            if sid >= 0:
-                if not done[sid]:
-                    stack.append(~sid)  # its step, once its children are done
-                    stack.extend(reversed(self.children(sid, blanket, True)))
-                continue
-            sid = ~sid
-            if done[sid]:
-                continue
-            done[sid] = 1
+        for sid in range(1, len(rows)):
             kind, x, y, _, _ = rows[sid]
             if kind == _SPLIT:
                 yield TraceStep(labels[sid], "split", None)
@@ -291,10 +264,13 @@ def solve_exact(
     stack = [state[r] for r in roots]
     while stack:
         sid = stack.pop()
-        kind, x, y, _, _ = rows[sid]
-        if kind != _SPLIT:
-            witness.append(yref(yperm[y - 1]) if blanket[sid] or not x else xref(x))
-        stack += sweep.children(sid, blanket, False)
+        kind, x, y, xchild, ychild = rows[sid]
+        if kind == _SPLIT:
+            stack += [state[r] for r in sweep.runs[sid]]
+            continue
+        witness.append(yref(yperm[y - 1]) if blanket[sid] or not x else xref(x))
+        if kind == _PIVOT:
+            stack.append(state[ychild] if blanket[sid] else state[xchild])
     total = sum(count[state[r]] for r in roots)
     witness_set = frozenset(witness)
     if len(witness_set) != total or not ordering.dominated_by(witness_set):
@@ -306,7 +282,7 @@ def solve_exact(
     stats = SolveStats(
         len(rows) - 1, len(state) - 1, pivots - blankets, blankets, universal, splits, sweep.pieces
     )
-    steps = tuple(sweep.trace(roots, blanket)) if trace else ()
+    steps = tuple(sweep.trace(blanket)) if trace else ()
     return SolveResult(total, witness_set, steps, stats)
 
 

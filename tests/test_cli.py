@@ -62,6 +62,38 @@ def test_solve_json_schema(cbg, capsys):
     assert isinstance(payload["trace"], list)
 
 
+def test_text_and_json_traces_list_the_same_steps_in_order(tmp_path, capsys):
+    # Two components, the second with a nested split: the steps come in the
+    # order the sweep creates the states (the components left to right, then
+    # the split's runs), and the text lines and the JSON list agree.
+    path = tmp_path / "split.cbg"
+    path.write_text(
+        "graph 8 8\nedge 1 4\nedge 2 1\nedge 3 7\nedge 4 2\nedge 4 7\nedge 5 2\n"
+        "edge 5 5\nedge 5 6\nedge 6 4\nedge 7 1\nedge 7 3\nedge 7 4\nedge 7 5\n"
+        "edge 7 6\nedge 8 8\nyorder 8 7 2 5 6 4 1 3\n"
+    )
+    code, text, _ = run(capsys, "solve", str(path), "--trace")
+    assert code == 0
+    assert text.splitlines() == [
+        "gamma_ve = 3",
+        "trace: at (x8, y8) took universal choosing x8",
+        "trace: at (x3, y7) took x_pivot choosing x4",
+        "trace: at (x5, y2) took x_pivot choosing x5",
+        "trace: at (x5, y5) took universal choosing x7",
+        "trace: at (x1, y4) took universal choosing x7",
+        "trace: at (x1, y4) took split",
+        "trace: at (x1, y4) took universal choosing x6",
+        "trace: at (x2, y1) took universal choosing x2",
+    ]
+    code, out, _ = run(capsys, "solve", str(path), "--json", "--trace")
+    assert code == 0
+    assert text.splitlines()[1:] == [
+        f"trace: at ({s['subproblem'][0]}, {s['subproblem'][1]}) took {s['branch']}"
+        + (f" choosing {s['chosen']}" if s["chosen"] else "")
+        for s in json.loads(out)["trace"]
+    ]
+
+
 def test_solve_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "nosuchfile.cbg")
     assert code == 2
@@ -260,6 +292,20 @@ def test_gen_refuses_unconnectable_request_at_once(capsys, monkeypatch):
         "error: no connected instance after 500 draws "
         "(n1=1000000, n2=2, density=0.25); try a higher density\n"
     )
+
+
+def test_gen_refuses_an_oversized_request_at_once():
+    # Ten million X vertices, or a trillion expected edges: either would
+    # draw for minutes and write a file that solve refuses.
+    for n1, n2 in (("10000000", "1"), ("1000000", "1000000")):
+        done = fresh_process(
+            ["gen", "convex", "--n1", n1, "--n2", n2, "--density", "1", "--seed", "1"], timeout=10
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            "error: the generator is capped at 10000000 vertices and 10000000 expected "
+            f"edges (n1={n1}, n2={n2}, density=1.0)\n"
+        )
 
 
 def test_text_and_json_report_identical_values(cbg, capsys):

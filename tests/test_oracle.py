@@ -296,6 +296,27 @@ def test_generator_refuses_unconnectable_config_without_drawing(monkeypatch):
     )
 
 
+def test_generator_refuses_past_the_capacity_without_drawing(monkeypatch):
+    # At most MAX_DECLARED vertices and MAX_DECLARED expected edges, n1 times
+    # the mean interval length (at least 1, at most n2); the bound itself
+    # is allowed.
+    monkeypatch.setattr(veds.oracle, "MAX_DECLARED", 100)
+    monkeypatch.setattr(veds.oracle.random, "Random", _CountingRandom)
+    monkeypatch.setattr(_CountingRandom, "calls", 0)
+    for n1, n2, density in ((50, 50, 0.02), (10, 20, 0.5), (10, 10, 1.0), (99, 1, 1.0)):
+        assert gen_random_convex_bipartite(GeneratorConfig(n1, n2, density, 1)).n1 == n1
+    monkeypatch.setattr(_CountingRandom, "cap", 0)
+    for n1, n2, density in ((50, 51, 0.01), (10, 20, 0.55), (11, 10, 1.0), (100, 1, 1.0)):
+        _CountingRandom.calls = 0
+        with pytest.raises(CapacityError) as exc:
+            gen_random_convex_bipartite(GeneratorConfig(n1, n2, density, 1, True))
+        assert _CountingRandom.calls == 0
+        assert str(exc.value) == (
+            "the generator is capped at 100 vertices and 100 expected edges "
+            f"(n1={n1}, n2={n2}, density={density})"
+        )
+
+
 def test_generator_rejects_bad_config():
     from veds.errors import InputError
 

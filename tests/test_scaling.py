@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import veds
 
@@ -30,6 +31,7 @@ def test_scaling_writes_rows_slopes_and_provenance(tmp_path):
     report = json.loads(out.read_text())
     for key in ("python", "platform", "revision", "dirty", "gc", "budget_s", "layers"):
         assert key in report
+    assert report["repeats"] == 3
     layers = ["parse_bulk", "parse_lines", "ordering", "solve_exact", "decompose", "lemma",
               "baseline"]
     assert report["layers"] == layers
@@ -37,9 +39,14 @@ def test_scaling_writes_rows_slopes_and_provenance(tmp_path):
     for family in report["families"].values():
         # Every first case takes longer than the budget, so each family stops there.
         [row] = family["rows"]
-        assert set(row) == {"n1", "n2", "n", "m", "gamma_ve", "states", "ms"}
-        assert list(row["ms"]) == layers
-        assert all(ms >= 0 for ms in row["ms"].values() if ms is not None)
+        assert set(row) == {"n1", "n2", "n", "m", "gamma_ve", "states", "ms", "spread_ms"}
+        assert list(row["ms"]) == list(row["spread_ms"]) == layers
+        # Each layer's median lies within the least and greatest of its runs.
+        for layer in layers:
+            ms, spread = row["ms"][layer], row["spread_ms"][layer]
+            assert (ms is None) == (spread is None)
+            if ms is not None:
+                assert 0 <= spread[0] <= ms <= spread[1]
         assert family["slopes"] == dict.fromkeys(layers)
     # Random short intervals: n1 = n2, about 4 edges per X vertex, and
     # several pieces, which decompose and the lemma check do not take.
@@ -47,8 +54,22 @@ def test_scaling_writes_rows_slopes_and_provenance(tmp_path):
     assert short["n1"] == short["n2"] == 100 and 300 <= short["m"] <= 500
     skipped = [layer for layer, ms in short["ms"].items() if ms is None]
     assert skipped == ["decompose", "lemma"]
+    assert [layer for layer, spread in short["spread_ms"].items() if spread is None] == skipped
     for name in ("path", "chain", "dense"):
         assert None not in report["families"][name]["rows"][0]["ms"].values()
+
+
+def test_timed_keeps_the_median_and_the_range_of_its_runs(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    scaling = importlib.import_module("scaling")
+    clock = iter([0.0, 0.004, 1.0, 1.001, 2.0, 2.009])  # runs of 4, 1 and 9 ms
+    monkeypatch.setattr(scaling, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    calls = []
+    ms, spread = {}, {}
+    assert scaling.timed(ms, spread, "layer", lambda v: calls.append(v) or len(calls), "a") == 3
+    assert calls == ["a", "a", "a"]
+    assert ms == {"layer": 4.0}
+    assert spread == {"layer": [1.0, 9.0]}
 
 
 def test_short_interval_family_splits_into_pieces(monkeypatch):

@@ -5,20 +5,22 @@ the ordering layer does real work: the paths P_2n and the short-interval
 chains of ``perfbench/workloads.py``, random short intervals (n1 = n2, mean
 interval length about 4, not required to be connected, so the solver splits
 them into pieces), and the dense graphs of acceptance criterion 6 (n1 = n2,
-density 0.1).  Each family doubles its size from a small start until one
-case's layers together run past ``--budget`` seconds or the family reaches
-its largest size: n1 = 102400 for paths, chains and short intervals (n = 2e5,
-3e5 and 2e5), n1 = n2 = 2000 for dense (m ~ 4e5).
+density 0.1).  Each family doubles its size from a small start until the
+layer medians of one case together run past ``--budget`` seconds or the
+family reaches its largest size: n1 = 102400 for paths, chains and short
+intervals (n = 2e5, 3e5 and 2e5), n1 = n2 = 2000 for dense (m ~ 4e5).
 
-Every case times each layer once, in process, with the garbage collector on
-and a full collection before each layer: ``parse_graph_text`` on the
-``format_graph_text`` output (the bulk reader), the line loop alone on the
-same text, the ordering, ``solve_exact``, ``decompose``,
-``verify_decomposition_lemma`` and the baseline; ``decompose`` and the
-lemma check take connected graphs only and read null on the others.  It
-records n, m, gamma_ve and the solver's state count, and each family gets a
-least-squares log-log slope per layer against n + m over its three largest
-sizes (null with fewer than two).
+Every case times each layer ``REPEATS`` times, in process, with the
+garbage collector on and a full collection before each run:
+``parse_graph_text`` on the ``format_graph_text`` output (the bulk
+reader), the line loop alone on the same text, the ordering,
+``solve_exact``, ``decompose``, ``verify_decomposition_lemma`` and the
+baseline; ``decompose`` and the lemma check take connected graphs only and
+read null on the others.  A row keeps each layer's median in ``ms`` and
+its least and greatest run in ``spread_ms``, with n, m, gamma_ve and the
+solver's state count, and each family gets a least-squares log-log slope
+per layer of the medians against n + m over its three largest sizes (null
+with fewer than two).
 
     python tools/scaling.py --budget 10 --out BENCH_scaling.json
 
@@ -35,6 +37,7 @@ import math
 import os
 import platform
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -49,6 +52,7 @@ from veds.io import _read_canonical, _read_lines  # noqa: E402
 from workloads import chain_graph, path_graph, relabel_y  # noqa: E402
 
 SEED = 1
+REPEATS = 3  # timed runs per layer and case
 LAYERS = ("parse_bulk", "parse_lines", "ordering", "solve_exact", "decompose",
           "lemma", "baseline")
 
@@ -72,11 +76,17 @@ FAMILIES = {
 }
 
 
-def timed(ms: dict, layer: str, call, *args):
-    gc.collect()  # so that no layer pays for the garbage of the one before
-    started = time.perf_counter()
-    value = call(*args)
-    ms[layer] = round((time.perf_counter() - started) * 1000.0, 3)
+def timed(ms: dict, spread: dict, layer: str, call, *args):
+    """Run ``call(*args)`` REPEATS times; record the median and the range of
+    its wall times in ms and return the last run's value."""
+    runs = []
+    for _ in range(REPEATS):
+        gc.collect()  # so that no run pays for the garbage of the one before
+        started = time.perf_counter()
+        value = call(*args)
+        runs.append((time.perf_counter() - started) * 1000.0)
+    ms[layer] = round(statistics.median(runs), 3)
+    spread[layer] = [round(min(runs), 3), round(max(runs), 3)]
     return value
 
 
@@ -85,21 +95,22 @@ def case(g: veds.BipartiteGraph, yorder: tuple[int, ...]) -> dict:
     text = veds.format_graph_text(g, yorder)
     if _read_canonical(text) is None:
         raise SystemExit("format_graph_text output missed the bulk reader")
-    ms: dict[str, float] = {}
-    parsed = timed(ms, "parse_bulk", veds.parse_graph_text, text)
-    if timed(ms, "parse_lines", _read_lines, text) != parsed:
+    ms: dict[str, float | None] = {}
+    spread: dict[str, list[float] | None] = {}
+    parsed = timed(ms, spread, "parse_bulk", veds.parse_graph_text, text)
+    if timed(ms, spread, "parse_lines", _read_lines, text) != parsed:
         raise SystemExit("the bulk reader and the line loop disagree")
     del text
-    ordering = timed(ms, "ordering", veds.compute_lex_convex_ordering, g, yorder)
-    result = timed(ms, "solve_exact", veds.solve_exact, g, ordering)
+    ordering = timed(ms, spread, "ordering", veds.compute_lex_convex_ordering, g, yorder)
+    result = timed(ms, spread, "solve_exact", veds.solve_exact, g, ordering)
     if len(veds.connected_components(g)) == 1:
-        decomp = timed(ms, "decompose", veds.decompose, g, ordering)
-        timed(ms, "lemma", veds.verify_decomposition_lemma, g, decomp)
+        decomp = timed(ms, spread, "decompose", veds.decompose, g, ordering)
+        timed(ms, spread, "lemma", veds.verify_decomposition_lemma, g, decomp)
     else:  # the decomposition lemma is about one connected graph
-        ms["decompose"] = ms["lemma"] = None
-    timed(ms, "baseline", veds.solve_baseline, g, ordering)
+        ms["decompose"] = ms["lemma"] = spread["decompose"] = spread["lemma"] = None
+    timed(ms, spread, "baseline", veds.solve_baseline, g, ordering)
     return {"n1": g.n1, "n2": g.n2, "n": g.n, "m": g.m, "gamma_ve": result.gamma_ve,
-            "states": result.stats.states, "ms": ms}
+            "states": result.stats.states, "ms": ms, "spread_ms": spread}
 
 
 def slope(rows: list[dict], layer: str) -> float | None:
@@ -118,7 +129,7 @@ def slope(rows: list[dict], layer: str) -> float | None:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--budget", type=float, default=10.0,
-                    help="stop a family after the first case whose layers take longer (s)")
+                    help="stop a family after the first case whose layer medians sum to more (s)")
     ap.add_argument("--out", type=Path, default=Path("BENCH_scaling.json"))
     args = ap.parse_args(argv)
 
@@ -147,10 +158,11 @@ def main(argv: list[str] | None = None) -> int:
         "cpu_count": os.cpu_count(),
         **revision(REPO / "src"),
         "gc": "enabled",
+        "repeats": REPEATS,
         "budget_s": args.budget,
         "seed": SEED,
         "layers": list(LAYERS),
-        "slope_against": "n + m, the three largest sizes",
+        "slope_against": "n + m, the three largest sizes, median ms",
         "families": families,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
