@@ -308,6 +308,19 @@ def test_gen_refuses_an_oversized_request_at_once():
         )
 
 
+def test_solve_takes_a_split_heavy_tiled_graph_in_a_fresh_process(tmp_path, monkeypatch):
+    # T_2 of tools/hostile.py: a solver that solves a piece again for every
+    # split reaching it does not finish this file in 270 s.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    from hostile import tiled_graph
+
+    g = tiled_graph(2)
+    path = tmp_path / "tiles2.cbg"
+    path.write_text(format_graph_text(g, identity_permutation(g.n2)))
+    done = fresh_process(["solve", str(path)], timeout=20)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "gamma_ve = 41\n", "")
+
+
 def test_text_and_json_report_identical_values(cbg, capsys):
     _, text_out, _ = run(capsys, "solve", cbg, "--algorithm", "baseline")
     _, json_out, _ = run(capsys, "solve", cbg, "--algorithm", "baseline", "--json")

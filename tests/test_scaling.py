@@ -35,7 +35,7 @@ def test_scaling_writes_rows_slopes_and_provenance(tmp_path):
     layers = ["parse_bulk", "parse_lines", "ordering", "solve_exact", "decompose", "lemma",
               "baseline"]
     assert report["layers"] == layers
-    assert list(report["families"]) == ["path", "chain", "short", "dense"]
+    assert list(report["families"]) == ["path", "chain", "short", "dense", "tiles"]
     for family in report["families"].values():
         # Every first case takes longer than the budget, so each family stops there.
         [row] = family["rows"]
@@ -55,8 +55,11 @@ def test_scaling_writes_rows_slopes_and_provenance(tmp_path):
     skipped = [layer for layer, ms in short["ms"].items() if ms is None]
     assert skipped == ["decompose", "lemma"]
     assert [layer for layer, spread in short["spread_ms"].items() if spread is None] == skipped
-    for name in ("path", "chain", "dense"):
+    for name in ("path", "chain", "dense", "tiles"):
         assert None not in report["families"][name]["rows"][0]["ms"].values()
+    # The first tiled graph is T_1, relabelled.
+    [tiles] = report["families"]["tiles"]["rows"]
+    assert (tiles["n1"], tiles["n2"], tiles["m"], tiles["gamma_ve"]) == (97, 96, 244, 31)
 
 
 def test_timed_keeps_the_median_and_the_range_of_its_runs(monkeypatch):
@@ -82,3 +85,30 @@ def test_short_interval_family_splits_into_pieces(monkeypatch):
         assert g.n1 == g.n2 == size and 3 <= g.m / size <= 5
         pieces = [xs for xs, _ in veds.connected_components(g) if xs]
         assert len(pieces) > 1
+
+
+def test_hill_climb_is_seeded_and_reports_its_best(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    hostile = importlib.import_module("hostile")
+    found = hostile.climb(7, 40)
+    assert found == hostile.climb(7, 40)
+    assert found["steps"] == 40 and len(found["intervals"]) == hostile.CLIMB_X
+    value, states, g = hostile.ratio(found["intervals"], hostile.CLIMB_Y)
+    assert (round(value, 4), states, g.n, g.m) == (
+        found["ratio"], found["states"], found["n"], found["m"]
+    )
+    # A climb never ends below where it started.
+    start = hostile.climb(7, 0)
+    assert start["steps"] == 0 and found["ratio"] >= start["ratio"]
+    # The tool writes the climb and the tiled graphs' ratios.
+    out = tmp_path / "BENCH_hostile.json"
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "hostile.py"), "--steps", "5", "--out", str(out)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert report["climb"]["steps"] == 5 and report["climb"]["seed"] == hostile.SEED
+    assert [(t["n"], t["m"]) for t in report["tiled"].values()] == [(128, 162), (193, 244)]
+    for t in report["tiled"].values():
+        assert t["ratio"] == round(t["states"] / (t["n"] + t["m"]), 4)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import veds
 import veds.chains as chains
+import veds.solver
 from veds import (
     ContractError,
     build_graph,
@@ -408,12 +410,13 @@ def test_golden_answer_digest():
 
 def test_golden_trace_digest():
     # solve_digest(golden_instances()), memoisation on: the full trace in
-    # the order the forward sweep creates the states, each state once
-    # (23,692 steps).  Any change to a count, a witness, a single trace step
-    # of these instances (69 of them split) or their order shows here.
+    # the order the forward sweep creates the states, each state once and
+    # each piece once however many splits reach it (23,684 steps).  Any
+    # change to a count, a witness, a single trace step of these instances
+    # (69 of them split) or their order shows here.
     assert (
         solve_digest(golden_instances())
-        == "afdb709af0069b8c645359ae851403cc56214ad269ded08c2c6e781e9bcc21e6"
+        == "c91ee0fb005d0fa2a26c219de5b727f8065e12f949197a6aa110ee6eaa71f94c"
     )
 
 
@@ -433,11 +436,20 @@ def test_trace_without_a_split_never_steps_left():
     assert unsplit == 1074
 
 
-def test_trace_off_gives_the_same_answer_and_stats_tally_the_trace():
+def test_trace_off_gives_the_same_answer_and_stats_tally_the_trace(monkeypatch):
     # Without trace=True the solve builds no steps but returns the same
     # count and witness; its stats are the branch tally of the full trace,
     # one step per state, and the requests answered from shared states.
+    runs = []
+
+    def recorded(entries):
+        found = chains._coverage_runs(entries)
+        runs.extend((tuple(run), ylo, yhi) for run, ylo, yhi in found)
+        return found
+
+    monkeypatch.setattr(veds.solver, "_coverage_runs", recorded)
     for g, ordv in golden_instances():
+        runs.clear()
         plain, traced = solve_exact(g, ordv), solve_exact(g, ordv, trace=True)
         assert plain.trace == ()
         assert (plain.gamma_ve, plain.witness) == (traced.gamma_ve, traced.witness)
@@ -449,10 +461,13 @@ def test_trace_off_gives_the_same_answer_and_stats_tally_the_trace():
             tally["x_pivot"], tally["y_blanket"], tally["universal"], tally["split"]
         )
         assert stats.requests >= stats.states
-        # Each split adds at least one piece to the graph's components.
-        components = len(chains._coverage_runs(ordv.intervals))
-        assert components + stats.split <= stats.components
-        assert stats.split or stats.components == components
+        # A piece is counted once, however many splits reach it: the
+        # distinct runs of the components and of every split, from both
+        # solves.
+        assert stats.components == len(set(runs))
+        # The bound of the solver's docstring.
+        pieces = g.n2 * (g.n2 + 1) // 2
+        assert stats.components <= pieces and stats.states <= g.m * pieces
 
 
 def test_split_states_agree_with_brute_force_and_unmemoised():
@@ -494,6 +509,38 @@ def test_deep_path_leaves_the_recursion_limit_alone():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["300", "1000"]
+
+
+def test_split_heavy_tiled_graphs_solve_in_polynomial_states():
+    # T_0 and T_1 of tools/hostile.py, in a fresh interpreter under a
+    # timeout.  Solving each split's runs afresh solves the same pieces over
+    # and over: 74,372 states over 23,039 pieces (30 distinct) on T_0, 3.3
+    # million states and 24 s on T_1.  Counting a piece shared by a later
+    # split before that split reads a stale count (14 instead of 21 on
+    # T_0), which the gamma_ve pins and the witness check catch.
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / 'tools')!r})\n"
+        "from hostile import tiled_graph\n"
+        "from veds import compute_lex_convex_ordering, identity_permutation, solve_exact\n"
+        "for k in (0, 1):\n"
+        "    g = tiled_graph(k)\n"
+        "    r = solve_exact(g, compute_lex_convex_ordering(g, identity_permutation(g.n2)))\n"
+        "    print(json.dumps([g.n1, g.n2, g.m, r.gamma_ve, r.stats.states, r.stats.components]))\n"
+    )
+    src = str(Path(veds.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [row[:4] for row in rows] == [[64, 64, 162, 21], [97, 96, 244, 31]]
+    assert [row[5] for row in rows] == [30, 40]
+    for n1, n2, m, _, states, pieces in rows:
+        # At most n2 (n2 + 1) / 2 pieces of at most m states each.
+        assert pieces <= n2 * (n2 + 1) // 2
+        assert states <= m * n2 * (n2 + 1) // 2 <= (n1 + n2 + m) ** 3
 
 
 def test_witness_check_survives_python_O():
@@ -583,7 +630,9 @@ def test_sparse_trace_length_is_linear(monkeypatch):
             r = solve_exact(g, ordv)
             assert k is None or r.gamma_ve == (k + 2) // 4
             assert r.stats.states <= 2 * g.n2
-            assert read[0] <= 8 * len(ordv.intervals)
+            # Every state is found by reading its window through
+            # _Component.window.
+            assert r.stats.states <= read[0] <= 8 * len(ordv.intervals)
             read[0] = 0
             decompose(g, ordv)
             assert read[0] <= len(ordv.intervals)

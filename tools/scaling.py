@@ -1,14 +1,16 @@
 """Per-layer wall time of veds as instances double in size.
 
-Four families, each Y-relabelled by a permutation drawn from ``SEED`` so
+Five families, each Y-relabelled by a permutation drawn from ``SEED`` so
 the ordering layer does real work: the paths P_2n and the short-interval
 chains of ``perfbench/workloads.py``, random short intervals (n1 = n2, mean
 interval length about 4, not required to be connected, so the solver splits
-them into pieces), and the dense graphs of acceptance criterion 6 (n1 = n2,
-density 0.1).  Each family doubles its size from a small start until the
-layer medians of one case together run past ``--budget`` seconds or the
-family reaches its largest size: n1 = 102400 for paths, chains and short
-intervals (n = 2e5, 3e5 and 2e5), n1 = n2 = 2000 for dense (m ~ 4e5).
+them into pieces), the dense graphs of acceptance criterion 6 (n1 = n2,
+density 0.1) and the split-heavy tiled graphs T_k of ``tools/hostile.py``.
+Each family doubles its size from a small start until the layer medians of
+one case together run past ``--budget`` seconds or the family reaches its
+largest size: n1 = 102400 for paths, chains and short intervals (n = 2e5,
+3e5 and 2e5), n1 = n2 = 2000 for dense (m ~ 4e5), k = 64 tiles for T_k
+(n = 4288).
 
 Every case times each layer ``REPEATS`` times, in process, with the
 garbage collector on and a full collection before each run:
@@ -43,6 +45,7 @@ import time
 from pathlib import Path
 
 from coldstart import revision
+from hostile import tiled_graph
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
@@ -67,12 +70,14 @@ def dense_graph(n1: int, rng: random.Random) -> veds.BipartiteGraph:
         n1, n1, 0.1, rng.getrandbits(48), require_connected=True))
 
 
-# family -> (builder of the graph with n1 X vertices, first n1, largest n1)
+# family -> (builder of the graph of size s, first s, largest s); s is n1,
+# but the tile count k for T_k
 FAMILIES = {
     "path": (lambda n1, rng: path_graph(2 * n1), 100, 102400),
     "chain": (chain_graph, 100, 102400),
     "short": (short_graph, 100, 102400),
     "dense": (dense_graph, 125, 2000),
+    "tiles": (lambda k, rng: tiled_graph(k), 1, 64),
 }
 
 
@@ -134,11 +139,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     families = {}
-    for name, (build, n1, largest) in FAMILIES.items():
+    for name, (build, size, largest) in FAMILIES.items():
         rng = random.Random(f"{name}:{SEED}")
         rows: list[dict] = []
-        while n1 <= largest:
-            g, yorder = relabel_y(build(n1, rng), rng)
+        while size <= largest:
+            g, yorder = relabel_y(build(size, rng), rng)
             rows.append(case(g, yorder))
             del g, yorder
             row = rows[-1]
@@ -147,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
                   + "  ".join(f"{k} {v:.1f}" for k, v in ran.items()), flush=True)
             if sum(ran.values()) > args.budget * 1000.0:
                 break
-            n1 *= 2
+            size *= 2
         families[name] = {"rows": rows, "slopes": {layer: slope(rows, layer) for layer in LAYERS}}
 
     report = {
