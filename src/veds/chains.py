@@ -73,10 +73,10 @@ class ChainDecomposition(NamedTuple):
 def _coverage_runs(entries: Sequence[Interval]) -> list[tuple[list[Interval], int, int]]:
     """Group intervals into maximal overlap-connected runs.
 
-    Entries must arrive clipped to their state's start and sorted.  Two
-    intervals land in the same run iff a chain of pairwise-overlapping
-    intervals joins them, which for convex graphs is exactly connectivity;
-    Y-positions not covered by any run are isolated.
+    Entries must arrive sorted.  Two intervals land in the same run iff a
+    chain of pairwise-overlapping intervals joins them, which for convex
+    graphs is exactly connectivity; Y-positions not covered by any run are
+    isolated.
     """
     runs: list[tuple[list[Interval], int, int]] = []
     members: list[Interval] = []
@@ -96,38 +96,23 @@ def _coverage_runs(entries: Sequence[Interval]) -> list[tuple[list[Interval], in
 
 
 class _Component:
-    """One connected piece of intervals and the tables its states read,
-    shared by the exact solver and ``decompose``.
+    """Sorted intervals and the windows their states read, shared by the
+    exact solver (all of a graph's intervals) and ``decompose`` and the
+    baseline (one connected piece each).
 
     A state at ``start`` reads one window of ``entries``: from ``lo`` to
     the first interval starting after start (``window`` below).  Its front
     is the intervals of that window containing start, kept in ``entries``
-    order.  ``entries`` are the piece's intervals, sorted, none starting
-    before ``ylo``, together covering [ylo, yhi]; ``lefts`` holds their left
-    ends.  Built once, in O(n):
-
-    - ``sufmin[i]``: the least right end in ``entries[i:]``;
-    - ``cut[i]``: the largest boundary q <= yhi - 1 (between positions q and
-      q + 1) that no interval of ``entries[i:]`` spans with left <= q < right.
-      Intervals join only by overlap, so a boundary, not a position, is what
-      separates two runs.
+    order.  ``entries`` are the intervals, sorted, all within [ylo, yhi];
+    ``lefts`` holds their left ends.  Built once, in O(n).
     """
 
-    __slots__ = ("entries", "lefts", "ylo", "yhi", "sufmin", "cut")
+    __slots__ = ("entries", "lefts", "ylo", "yhi")
 
     def __init__(self, entries: list[Interval], ylo: int, yhi: int) -> None:
-        n = len(entries)
-        sufmin = [yhi + 1] * (n + 1)
-        cut = [yhi - 1] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            left, right, _ = entries[i]
-            sufmin[i] = min(right, sufmin[i + 1])
-            q = cut[i + 1]
-            cut[i] = left - 1 if left <= q < right else q
         self.entries = entries
         self.lefts = [e[0] for e in entries]
         self.ylo, self.yhi = ylo, yhi
-        self.sufmin, self.cut = sufmin, cut
 
     def window(self, lo: int, start: int) -> tuple[int, int]:
         """(f, b): ``entries[lo:b]`` is the window, b being the first
@@ -188,15 +173,15 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
     """Label the vertices of a connected convex bipartite graph with the
     chains ``_peels`` takes off it, walking it as one piece."""
     ensure_valid_lex_ordering(g, ordering)
-    comp = _Component(list(ordering.intervals), 1, g.n2)
-    # Connected: at most one vertex, or no isolated X vertex and an interval
-    # spanning every boundary between two Y positions (cut[0] below 1).
-    if g.n > 1 and not (len(comp.entries) == g.n1 and comp.cut[0] < 1):
+    runs = _coverage_runs(ordering.intervals)
+    # Connected: at most one vertex, or no isolated X vertex and one run of
+    # intervals spanning every Y position.
+    if g.n > 1 and not (len(ordering.intervals) == g.n1 and [r[1:] for r in runs] == [(1, g.n2)]):
         raise ContractError("decompose requires a connected graph; split components first")
     part_x, part_y, pivots = [0] * g.n1, [0] * g.n2, []
     start = 1  # the chain's first Y position
     # No edges: a connected graph this small is a single vertex, the tail.
-    for reach, pivot, front, stranded in _peels(comp) if comp.entries else ():
+    for reach, pivot, front, stranded in _peels(_Component(*runs[0])) if runs else ():
         label = 2 * len(pivots) + 1
         for e in front:
             part_x[e[2] - 1] = label

@@ -110,7 +110,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.trace:
             for s in result.trace:
                 print(f"trace: at ({s.subproblem[0]}, {s.subproblem[1]}) took {s.branch}"
-                      + (f" choosing {s.chosen}" if s.chosen else ""))
+                      f" choosing {s.chosen}")
     return 0
 
 

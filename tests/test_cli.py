@@ -64,8 +64,8 @@ def test_solve_json_schema(cbg, capsys):
 
 def test_text_and_json_traces_list_the_same_steps_in_order(tmp_path, capsys):
     # Two components, the second with a nested split: the steps come in the
-    # order the sweep creates the states (the components left to right, then
-    # the split's runs), and the text lines and the JSON list agree.
+    # order the sweep creates the states (in increasing start, across the
+    # components), and the text lines and the JSON list agree.
     path = tmp_path / "split.cbg"
     path.write_text(
         "graph 8 8\nedge 1 4\nedge 2 1\nedge 3 7\nedge 4 2\nedge 4 7\nedge 5 2\n"
@@ -76,14 +76,13 @@ def test_text_and_json_traces_list_the_same_steps_in_order(tmp_path, capsys):
     assert code == 0
     assert text.splitlines() == [
         "gamma_ve = 3",
-        "trace: at (x8, y8) took universal choosing x8",
+        "trace: at (x8, y8) took x_pivot choosing x8",
         "trace: at (x3, y7) took x_pivot choosing x4",
         "trace: at (x5, y2) took x_pivot choosing x5",
-        "trace: at (x5, y5) took universal choosing x7",
-        "trace: at (x1, y4) took universal choosing x7",
-        "trace: at (x1, y4) took split",
-        "trace: at (x1, y4) took universal choosing x6",
-        "trace: at (x2, y1) took universal choosing x2",
+        "trace: at (x5, y5) took x_pivot choosing x7",
+        "trace: at (x1, y4) took x_pivot choosing x7",
+        "trace: at (x1, y4) took x_pivot choosing x6",
+        "trace: at (x2, y1) took x_pivot choosing x2",
     ]
     code, out, _ = run(capsys, "solve", str(path), "--json", "--trace")
     assert code == 0

@@ -85,30 +85,3 @@ def test_short_interval_family_splits_into_pieces(monkeypatch):
         assert g.n1 == g.n2 == size and 3 <= g.m / size <= 5
         pieces = [xs for xs, _ in veds.connected_components(g) if xs]
         assert len(pieces) > 1
-
-
-def test_hill_climb_is_seeded_and_reports_its_best(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(TOOLS))
-    hostile = importlib.import_module("hostile")
-    found = hostile.climb(7, 40)
-    assert found == hostile.climb(7, 40)
-    assert found["steps"] == 40 and len(found["intervals"]) == hostile.CLIMB_X
-    value, states, g = hostile.ratio(found["intervals"], hostile.CLIMB_Y)
-    assert (round(value, 4), states, g.n, g.m) == (
-        found["ratio"], found["states"], found["n"], found["m"]
-    )
-    # A climb never ends below where it started.
-    start = hostile.climb(7, 0)
-    assert start["steps"] == 0 and found["ratio"] >= start["ratio"]
-    # The tool writes the climb and the tiled graphs' ratios.
-    out = tmp_path / "BENCH_hostile.json"
-    done = subprocess.run(
-        [sys.executable, str(TOOLS / "hostile.py"), "--steps", "5", "--out", str(out)],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path,
-    )
-    assert done.returncode == 0, done.stderr
-    report = json.loads(out.read_text())
-    assert report["climb"]["steps"] == 5 and report["climb"]["seed"] == hostile.SEED
-    assert [(t["n"], t["m"]) for t in report["tiled"].values()] == [(128, 162), (193, 244)]
-    for t in report["tiled"].values():
-        assert t["ratio"] == round(t["states"] / (t["n"] + t["m"]), 4)

@@ -3,8 +3,8 @@
 Five families, each Y-relabelled by a permutation drawn from ``SEED`` so
 the ordering layer does real work: the paths P_2n and the short-interval
 chains of ``perfbench/workloads.py``, random short intervals (n1 = n2, mean
-interval length about 4, not required to be connected, so the solver splits
-them into pieces), the dense graphs of acceptance criterion 6 (n1 = n2,
+interval length about 4, not required to be connected, so they fall into
+several pieces), the dense graphs of acceptance criterion 6 (n1 = n2,
 density 0.1) and the split-heavy tiled graphs T_k of ``tools/hostile.py``.
 Each family doubles its size from a small start until the layer medians of
 one case together run past ``--budget`` seconds or the family reaches its
