@@ -11,9 +11,10 @@ tables, by ``_peels``; the chain-pivot baseline reads its pivots from the
 same walk, piece by piece.  A decomposition labels each vertex with its part.
 
 ``verify_decomposition_lemma`` checks a decomposition against the graph
-alone, without the intervals: it buckets the vertices by label once and
-reads each X row's neighbour labels once, so every clause works from the X
-side, in O(n + m), with no Y adjacency built.
+alone, without the intervals: one pass over the X rows in ascending index,
+each row's set of neighbour labels built and dropped in turn, records what
+every clause needs, and one pass over the chains emits the clauses, in
+O(n + m), with no Y adjacency built.
 """
 
 from __future__ import annotations
@@ -209,6 +210,23 @@ class DecompositionLemmaReport(NamedTuple):
         return all(c.ok for c in self.checks)
 
 
+def _chain_count(part_x: Sequence[int], part_y: Sequence[int]) -> int:
+    """The number of chains the labels name, after checking their shape: no
+    label is negative, no Y vertex is stranded, and every chain has both
+    sides.  The label sets are freed on return, before the row pass."""
+    labels_x, labels_y = set(part_x), set(part_y)
+    labels = labels_x | labels_y
+    if min(labels) < 0:
+        raise ContractError("decomposition gives a vertex a negative label")
+    if any(label > 0 and label % 2 == 0 for label in labels_y):
+        raise ContractError("decomposition strands a Y vertex")
+    k = (max(labels) + 1) // 2
+    for idx in range(1, k + 1):
+        if 2 * idx - 1 not in labels_x or 2 * idx - 1 not in labels_y:
+            raise ContractError(f"decomposition chain {idx} has an empty side")
+    return k
+
+
 def verify_decomposition_lemma(
     g: BipartiteGraph, decomp: ChainDecomposition
 ) -> DecompositionLemmaReport:
@@ -217,11 +235,15 @@ def verify_decomposition_lemma(
     Per chain i: (a) every stranded vertex of round i is adjacent to the Y
     side of chain i; (b) the last Y vertex of chain i has a neighbour inside
     chain i+1; (c) chain i has no adjacency into the strand of round i+1 nor
-    into chain i+2.  The check reads the graph from the X side only: each X
-    row's set of neighbour labels is taken once, and the rows of chain i+1,
-    strand i+1 and chain i+2 answer every clause about chain i, so the check
-    is O(n + m).  Labels of the wrong shape and a chain with an empty side
-    are a ContractError.
+    into chain i+2.  The check reads the graph from the X side only, in two
+    passes.  The row pass takes the X rows in ascending index and builds
+    each row's set of neighbour labels for that row alone: the rows of
+    strand i answer (a) for chain i, those of chain i+1 answer (b), and for
+    (c) chain i's own rows give its X-side leaks and the rows of strand i+1
+    and chain i+2 its Y-side ones.  The first row found is the least X
+    vertex a detail names.  The chain pass then emits each chain's clauses.
+    O(n + m).  Labels of the wrong shape and a chain with an empty side are
+    a ContractError.
     """
     ensure_valid_lex_ordering(g, decomp.ordering)
     # Y labels as a list indexed by vertex, index 0 unused: read through
@@ -230,39 +252,51 @@ def verify_decomposition_lemma(
     part_x, part_y = decomp.part_x, [0, *decomp.part_y]
     if len(part_x) != g.n1 or len(part_y) != g.n2 + 1:
         raise ContractError("decomposition does not label each vertex of the graph once")
-    if min((*part_x, *part_y)) < 0:
-        raise ContractError("decomposition gives a vertex a negative label")
-    if any(label > 0 and label % 2 == 0 for label in part_y):
-        raise ContractError("decomposition strands a Y vertex")
-    chains, strands, _ = decomp.parts()
-    adj_x = g.adj_x
-    # seen[i]: the labels of x_i's neighbours.  xs[label]: the X vertices
-    # with that label, ascending, padded so that chain i's ``own + 4`` is in
-    # range for the last chain.
-    seen = [None, *(set(map(part_y.__getitem__, nb)) for nb in adj_x)]
-    xs = [[], *(v for (hx, _), js in zip(chains, strands) for v in (hx, js)), [], [], []]
-    checks: list[ClauseCheck] = []
-    for idx, ((hx, hy), js) in enumerate(zip(chains, strands), start=1):
-        if not (hx and hy):
-            raise ContractError(f"decomposition chain {idx} has an empty side")
-        own = 2 * idx - 1  # chain idx + 1 is own + 2, and its strand own + 3
-        bad = [v for v in js if own not in seen[v]]
-        checks.append(ClauseCheck(idx, "strand-attached", not bad, (
-            f"x{bad[0]} has no neighbour in the chain's Y side" if bad
-            else "all stranded vertices touch the chain")))
-        if idx < len(chains):
-            last_y = max(hy, key=decomp.ordering.y_position)
-            linked = next((i for i in xs[own + 2] if last_y in adj_x[i - 1]), 0)
-            checks.append(ClauseCheck(idx, "next-chain-linked", bool(linked), (
-                f"y{last_y} reaches x{linked} in chain {idx + 1}" if linked
-                else f"y{last_y} has no neighbour in chain {idx + 1}")))
-        leaks = [f"x{i}~y{next(j for j in adj_x[i - 1] if part_y[j] == own + 4)} (chain {idx + 2})"
-                 for i in hx if own + 4 in seen[i]]
-        for label, where in ((own + 3, f"strand {idx + 1}"), (own + 4, f"chain {idx + 2}")):
-            # X taken descending, so each Y vertex of chain idx ends on its least X.
-            first = {j: i for i in reversed(xs[label]) if own in seen[i]
-                     for j in adj_x[i - 1] if part_y[j] == own}
-            leaks += [f"y{j}~x{i} ({where})" for j, i in first.items()]
-        checks.append(ClauseCheck(idx, "no-forward-reach", not leaks, (
-            "; ".join(sorted(leaks)) if leaks else "no adjacency past the next strand")))
+    k = _chain_count(part_x, part_y)
+    # last[label]: the chain's Y vertex at the greatest position.
+    yperm = decomp.ordering.yperm
+    last = dict(zip(map(part_y.__getitem__, yperm), yperm))
+    # Per chain i: the least X of strand i off chain i's Y side, the least X
+    # of chain i + 1 that last[2i - 1] reaches, and chain i's leaks.
+    bad, linked, leaks = [0] * (k + 1), [0] * (k + 1), {}
+    met = set()  # (j, label): y_j's leak into the rows labelled label is recorded
+    for i, (label, row) in enumerate(zip(part_x, g.adj_x), start=1):
+        if not label:
+            continue
+        seen = set(map(part_y.__getitem__, row))
+        c = (label + 1) // 2  # this row's chain or strand
+        if label % 2 == 0:
+            if label - 1 not in seen and not bad[c]:
+                bad[c] = i
+            own = label - 3
+        else:
+            if label + 4 in seen:
+                j = next(j for j in row if part_y[j] == label + 4)
+                leaks.setdefault(c, []).append(f"x{i}~y{j} (chain {c + 2})")
+            if c > 1 and not linked[c - 1] and last[label - 2] in row:
+                linked[c - 1] = i
+            own = label - 4
+        if own in seen:  # no label is negative, so never for own < 0
+            where = f"strand {c}" if label % 2 == 0 else f"chain {c}"
+            for j in row:
+                if part_y[j] == own and (j, label) not in met:
+                    met.add((j, label))
+                    leaks.setdefault((own + 1) // 2, []).append(f"y{j}~x{i} ({where})")
+    # tuple.__new__ skips ClauseCheck's generated __new__, one Python call
+    # per check; with three checks per chain that was about a tenth of the
+    # check on P_204800.
+    new, checks = tuple.__new__, []
+    for idx in range(1, k + 1):
+        x = bad[idx]
+        checks.append(new(ClauseCheck, (idx, "strand-attached", not x, (
+            f"x{x} has no neighbour in the chain's Y side" if x
+            else "all stranded vertices touch the chain"))))
+        if idx < k:
+            last_y, x = last[2 * idx - 1], linked[idx]
+            checks.append(new(ClauseCheck, (idx, "next-chain-linked", bool(x), (
+                f"y{last_y} reaches x{x} in chain {idx + 1}" if x
+                else f"y{last_y} has no neighbour in chain {idx + 1}"))))
+        found = leaks.get(idx)
+        checks.append(new(ClauseCheck, (idx, "no-forward-reach", not found, (
+            "; ".join(sorted(found)) if found else "no adjacency past the next strand"))))
     return DecompositionLemmaReport(tuple(checks))

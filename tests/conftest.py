@@ -4,6 +4,8 @@ import pytest
 
 from veds import (
     BipartiteGraph,
+    ContractError,
+    DecompositionLemmaReport,
     GeneratorConfig,
     InputError,
     build_graph,
@@ -14,6 +16,8 @@ from veds import (
     xref,
     yref,
 )
+from veds.chains import ClauseCheck
+from veds.ordering import ensure_valid_lex_ordering
 
 
 def ordered(g):
@@ -74,6 +78,54 @@ def is_chain_graph(g: BipartiteGraph) -> bool:
         key=lambda s: -len(s),
     )
     return all(b <= a for a, b in zip(hoods, hoods[1:]))
+
+
+def reference_lemma(g: BipartiteGraph, decomp) -> DecompositionLemmaReport:
+    """Reference lemma check: the clauses of ``verify_decomposition_lemma``,
+    chain by chain.  Each X row's set of neighbour labels is kept for the
+    whole check, the vertices are bucketed by ``decomp.parts()``, and each
+    chain's clauses are read off the rows of chain i+1, strand i+1 and chain
+    i+2, with the same messages, details and errors."""
+    ensure_valid_lex_ordering(g, decomp.ordering)
+    part_x, part_y = decomp.part_x, [0, *decomp.part_y]
+    if len(part_x) != g.n1 or len(part_y) != g.n2 + 1:
+        raise ContractError("decomposition does not label each vertex of the graph once")
+    if min((*part_x, *part_y)) < 0:
+        raise ContractError("decomposition gives a vertex a negative label")
+    if any(label > 0 and label % 2 == 0 for label in part_y):
+        raise ContractError("decomposition strands a Y vertex")
+    chains, strands, _ = decomp.parts()
+    adj_x = g.adj_x
+    # seen[i]: the labels of x_i's neighbours.  xs[label]: the X vertices
+    # with that label, ascending, padded so that chain i's ``own + 4`` is in
+    # range for the last chain.
+    seen = [None, *(set(map(part_y.__getitem__, nb)) for nb in adj_x)]
+    xs = [[], *(v for (hx, _), js in zip(chains, strands) for v in (hx, js)), [], [], []]
+    checks = []
+    for idx, ((hx, hy), js) in enumerate(zip(chains, strands), start=1):
+        if not (hx and hy):
+            raise ContractError(f"decomposition chain {idx} has an empty side")
+        own = 2 * idx - 1  # chain idx + 1 is own + 2, and its strand own + 3
+        bad = [v for v in js if own not in seen[v]]
+        checks.append(ClauseCheck(idx, "strand-attached", not bad, (
+            f"x{bad[0]} has no neighbour in the chain's Y side" if bad
+            else "all stranded vertices touch the chain")))
+        if idx < len(chains):
+            last_y = max(hy, key=decomp.ordering.y_position)
+            linked = next((i for i in xs[own + 2] if last_y in adj_x[i - 1]), 0)
+            checks.append(ClauseCheck(idx, "next-chain-linked", bool(linked), (
+                f"y{last_y} reaches x{linked} in chain {idx + 1}" if linked
+                else f"y{last_y} has no neighbour in chain {idx + 1}")))
+        leaks = [f"x{i}~y{next(j for j in adj_x[i - 1] if part_y[j] == own + 4)} (chain {idx + 2})"
+                 for i in hx if own + 4 in seen[i]]
+        for label, where in ((own + 3, f"strand {idx + 1}"), (own + 4, f"chain {idx + 2}")):
+            # X taken descending, so each Y vertex of chain idx ends on its least X.
+            first = {j: i for i in reversed(xs[label]) if own in seen[i]
+                     for j in adj_x[i - 1] if part_y[j] == own}
+            leaks += [f"y{j}~x{i} ({where})" for j, i in first.items()]
+        checks.append(ClauseCheck(idx, "no-forward-reach", not leaks, (
+            "; ".join(sorted(leaks)) if leaks else "no adjacency past the next strand")))
+    return DecompositionLemmaReport(tuple(checks))
 
 
 def naive_undominated_edges(g: BipartiteGraph, d) -> list[tuple[int, int]]:

@@ -7,10 +7,12 @@ import pytest
 from veds import (
     ChainDecomposition,
     ContractError,
+    GeneratorConfig,
     build_graph,
     compute_lex_convex_ordering,
     connected_components,
     decompose,
+    gen_random_convex_bipartite,
     verify_decomposition_lemma,
     xref,
     yref,
@@ -22,6 +24,7 @@ from conftest import (
     is_chain_graph,
     ordered,
     random_convex_instance,
+    reference_lemma,
     relabel_y,
 )
 from test_solver import chain_graph, golden_instances, path_graph
@@ -384,3 +387,80 @@ def test_mutated_decomposition_digest():
     assert h.hexdigest() == (
         "643a37ff2716f3b59c00ca356f6636dd4ac546cae41e822d0efeee356a5bbc30"
     )
+
+
+def _same_verdict(g, d):
+    """What both lemma checks give d, after asserting that they agree: the
+    same checks, or a ContractError with the same message (returned)."""
+    try:
+        expected = reference_lemma(g, d).checks
+    except ContractError as error:
+        with pytest.raises(ContractError) as raised:
+            verify_decomposition_lemma(g, d)
+        assert str(raised.value) == str(error)
+        return str(error)
+    assert verify_decomposition_lemma(g, d).checks == expected
+    return expected
+
+
+def _relabelled_instances(rng, count):
+    """Y-relabelled chains, paths and dense generator graphs, with their
+    decompositions, a third of each."""
+    for k in range(count):
+        if k % 3 == 0:
+            base = chain_graph(rng.randint(3, 40), rng)
+        elif k % 3 == 1:
+            base = path_graph(rng.randint(4, 60))
+        else:
+            n = rng.randint(8, 40)
+            base = gen_random_convex_bipartite(GeneratorConfig(
+                n, n, rng.uniform(0.15, 0.6), rng.getrandbits(48), require_connected=True))
+        g, sigma = relabel_y(base, rng)
+        yield g, decompose(g, compute_lex_convex_ordering(g, sigma))
+
+
+def test_lemma_is_the_reference_lemma(counterexample, p8):
+    # 2,250 draws with one _mutate fault each, on Y-relabelled chains, paths
+    # and dense generator graphs (the relabelled dense graphs are a case the
+    # mutation digest does not reach): the same checks.  Then 600 draws of
+    # arbitrary labels, each with one vertex left off, a negative label, a
+    # stranded Y vertex or no fault, and a foreign graph: every ContractError
+    # of the label checks, with the same message.
+    rng = random.Random(2719)
+    draws = failing = 0
+    for g, d in _relabelled_instances(rng, 150):
+        assert all(c.ok for c in _same_verdict(g, d))
+        for _ in range(15):
+            checks = _same_verdict(g, _mutate(d, rng))
+            assert isinstance(checks, tuple)
+            draws += 1
+            failing += not all(c.ok for c in checks)
+    assert draws >= 2000
+    assert failing >= draws // 3
+    raised, passed = Counter(), 0
+    for g, d in _relabelled_instances(rng, 60):
+        k = len(d.pivots)
+        for _ in range(10):
+            part_x = [rng.randrange(2 * k + 3) for _ in range(g.n1)]
+            part_y = [rng.choice([0, *range(1, 2 * k + 2, 2)]) for _ in range(g.n2)]
+            fault = rng.randrange(4)
+            if fault == 0:
+                (part_x if rng.randrange(2) else part_y).pop()
+            elif fault == 1:
+                part = part_x if rng.randrange(2) else part_y
+                part[rng.randrange(len(part))] = -rng.randint(1, 3)
+            elif fault == 2:
+                part_y[rng.randrange(g.n2)] = 2 * rng.randint(1, k + 1)
+            verdict = _same_verdict(g, d._replace(part_x=tuple(part_x), part_y=tuple(part_y)))
+            if isinstance(verdict, str):
+                raised["empty side" if "empty side" in verdict else verdict] += 1
+            else:
+                passed += 1
+    assert set(raised) == {
+        "decomposition does not label each vertex of the graph once",
+        "decomposition gives a vertex a negative label",
+        "decomposition strands a Y vertex",
+        "empty side",
+    }
+    assert passed > 0
+    assert isinstance(_same_verdict(counterexample, decompose(p8, ordered(p8))), str)

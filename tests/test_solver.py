@@ -414,7 +414,7 @@ def test_golden_trace_digest():
     )
 
 
-def test_trace_without_a_split_never_steps_left():
+def test_trace_steps_never_step_left():
     # No state splits: one sweep takes the states in increasing start, so
     # the Y positions of the steps' starts never decrease.
     traces = 0
@@ -572,7 +572,7 @@ def small_interval_graph(rng):
     return relabel_y(build_graph(len(spans), n2, edges), rng)
 
 
-def test_memoised_trace_is_the_unmemoised_one_without_repeats():
+def test_reference_steps_are_solver_steps():
     # The unmemoised reference evaluates every request afresh and splits a
     # state into runs; the solver evaluates each state once, in one sweep.
     # Both give the same answer, and every step the reference takes is one
