@@ -1,14 +1,16 @@
-"""Chain decomposition of a connected convex bipartite graph, and the
-interval tables it shares with the exact solver and the baseline.
+"""Chain decomposition of a connected convex bipartite graph, and the walk
+over the ordering's sorted intervals it shares with the exact solver and the
+baseline.
 
 The decomposition repeatedly peels a chain subgraph off the front of the
 ordering: take the first remaining Y-position, its neighbourhood, and the
 neighbourhood of its farthest-reaching neighbour; remove them; collect the
 X vertices stranded (isolated) by the removal; repeat.  When the remainder is
 itself a chain graph it is emitted whole as the final chain.  Each peel is
-one ``x_pivot`` step of the exact solver, read off the same ``_Component``
-tables, by ``_peels``; the chain-pivot baseline reads its pivots from the
-same walk, piece by piece.  A decomposition labels each vertex with its part.
+one ``x_pivot`` step of the exact solver, read off ``ordering.intervals``
+through the same ``_window``, by ``_peels``; the chain-pivot baseline reads
+its pivots from the same walk.  A decomposition labels each vertex with its
+part.
 
 ``verify_decomposition_lemma`` checks a decomposition against the graph
 alone, without the intervals: one pass over the X rows in ascending index,
@@ -71,62 +73,33 @@ class ChainDecomposition(NamedTuple):
         return self.parts()[0]
 
 
-def _coverage_runs(entries: Sequence[Interval]) -> list[tuple[list[Interval], int, int]]:
-    """Group intervals into maximal overlap-connected runs.
-
-    Entries must arrive sorted.  Two intervals land in the same run iff a
-    chain of pairwise-overlapping intervals joins them, which for convex
-    graphs is exactly connectivity; Y-positions not covered by any run are
-    isolated.
-    """
-    runs: list[tuple[list[Interval], int, int]] = []
-    members: list[Interval] = []
-    lo = hi = 0
-    for e in entries:
-        if members and e[0] <= hi:
-            members.append(e)
-            if e[1] > hi:
-                hi = e[1]
-        else:
-            if members:
-                runs.append((members, lo, hi))
-            members, lo, hi = [e], e[0], e[1]
-    if members:
-        runs.append((members, lo, hi))
-    return runs
+def _one_run(entries: Sequence[Interval], n2: int) -> bool:
+    """True when the sorted intervals form one overlap-connected run spanning
+    Y positions 1 to n2: each starts by the farthest right end before it.
+    For convex graphs overlap is exactly connectivity."""
+    hi = 1
+    for left, right, _ in entries:
+        if left > hi:
+            return False
+        if right > hi:
+            hi = right
+    return bool(entries) and hi == n2
 
 
-class _Component:
-    """Sorted intervals and the windows their states read, shared by the
-    exact solver (all of a graph's intervals) and ``decompose`` and the
-    baseline (one connected piece each).
-
-    A state at ``start`` reads one window of ``entries``: from ``lo`` to
-    the first interval starting after start (``window`` below).  Its front
-    is the intervals of that window containing start, kept in ``entries``
-    order.  ``entries`` are the intervals, sorted, all within [ylo, yhi];
-    ``lefts`` holds their left ends.  Built once, in O(n).
-    """
-
-    __slots__ = ("entries", "lefts", "ylo", "yhi")
-
-    def __init__(self, entries: list[Interval], ylo: int, yhi: int) -> None:
-        self.entries = entries
-        self.lefts = [e[0] for e in entries]
-        self.ylo, self.yhi = ylo, yhi
-
-    def window(self, lo: int, start: int) -> tuple[int, int]:
-        """(f, b): ``entries[lo:b]`` is the window, b being the first
-        interval starting after start, and ``entries[f]`` is the first
-        interval of the window containing start (f = b when none does).
-        With lo the first interval starting after some floor < start, the
-        front is every interval with floor < left <= start <= right."""
-        entries = self.entries
-        b = bisect_right(self.lefts, start, lo)
-        f = lo
-        while f < b and entries[f][1] < start:
-            f += 1
-        return f, b
+def _window(
+    entries: Sequence[Interval], lefts: list[int], lo: int, start: int
+) -> tuple[int, int]:
+    """(f, b): ``entries[lo:b]`` is the window a state at start reads, b
+    being the first interval starting after start, and ``entries[f]`` is the
+    first interval of the window containing start (f = b when none does).
+    ``entries`` are sorted intervals and ``lefts`` their left ends.  With lo
+    the first interval starting after some floor < start, the front is every
+    interval with floor < left <= start <= right, in ``entries`` order."""
+    b = bisect_right(lefts, start, lo)
+    f = lo
+    while f < b and entries[f][1] < start:
+        f += 1
+    return f, b
 
 
 def _nested(entries: list[Interval]) -> bool:
@@ -135,31 +108,40 @@ def _nested(entries: list[Interval]) -> bool:
     return all(seq[k][1] >= seq[k + 1][1] for k in range(len(seq) - 1))
 
 
-def _peels(comp: _Component) -> Iterator[tuple[int, int, list[Interval], list[Interval]]]:
-    """The chains of a connected piece in order, each as (reach, pivot,
-    front, stranded): its last Y position, its pivot, the intervals of its
-    X side and those of the X vertices stranded after it.
+def _peels(
+    entries: Sequence[Interval],
+) -> Iterator[tuple[int, int, list[Interval], list[Interval]]]:
+    """The chains of sorted intervals in order, each as (reach, pivot, front,
+    stranded): its last Y position, its pivot, the intervals of its X side
+    and those of the X vertices stranded after it.
 
-    The peels are the exact solver's ``x_pivot`` walk from ``ylo``: each
-    starts one past the previous chain's reach, and the last reach is
-    ``yhi``.  A round's window begins where the previous round's ended, past
-    the intervals starting by the previous start, so the rounds read
-    disjoint windows of the sorted intervals: each interval enters at most
-    one front.
+    The peels are the exact solver's ``x_pivot`` walk: each starts one past
+    the previous chain's reach, or, where no interval holds that position,
+    at the next interval's left end; the walk stops after the last interval.
+    A round's window begins where the previous round's ended, past the
+    intervals starting by the previous start, so the rounds read disjoint
+    windows of the sorted intervals: each interval enters at most one front.
     """
-    entries, lefts, yhi = comp.entries, comp.lefts, comp.yhi
-    lo, start = 0, comp.ylo
-    while start <= yhi:
+    lefts = [e[0] for e in entries]
+    lo, start = 0, 1
+    while True:
         # Every interval containing `start` starts after the previous start:
         # one containing both would have been in the previous front, whose
         # farthest reach is start - 1.  So the window drops none of this
         # chain's front.
-        f, b = comp.window(lo, start)
+        f, b = _window(entries, lefts, lo, start)
+        if f == b:
+            if b == len(entries):
+                return
+            lo, start = b, lefts[b]
+            continue
         front = [e for e in entries[f:b] if e[1] >= start]
         reach, pivot = max((e[1], e[2]) for e in front)
-        stranded = [e for e in entries[b : bisect_right(lefts, reach)] if e[1] <= reach]
+        d = bisect_right(lefts, reach)
+        stranded = [e for e in entries[b:d] if e[1] <= reach]
+        # Every interval starting by reach ends by it: reach ends the piece.
         whole_is_chain = (
-            reach == yhi
+            len(stranded) == d - b
             and stranded
             and _nested(stranded)
             and max(e[1] for e in stranded) <= min(e[1] for e in front)
@@ -172,17 +154,17 @@ def _peels(comp: _Component) -> Iterator[tuple[int, int, list[Interval], list[In
 
 def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposition:
     """Label the vertices of a connected convex bipartite graph with the
-    chains ``_peels`` takes off it, walking it as one piece."""
+    chains ``_peels`` takes off its intervals."""
     ensure_valid_lex_ordering(g, ordering)
-    runs = _coverage_runs(ordering.intervals)
+    entries = ordering.intervals
     # Connected: at most one vertex, or no isolated X vertex and one run of
     # intervals spanning every Y position.
-    if g.n > 1 and not (len(ordering.intervals) == g.n1 and [r[1:] for r in runs] == [(1, g.n2)]):
+    if g.n > 1 and not (len(entries) == g.n1 and _one_run(entries, g.n2)):
         raise ContractError("decompose requires a connected graph; split components first")
     part_x, part_y, pivots = [0] * g.n1, [0] * g.n2, []
     start = 1  # the chain's first Y position
     # No edges: a connected graph this small is a single vertex, the tail.
-    for reach, pivot, front, stranded in _peels(_Component(*runs[0])) if runs else ():
+    for reach, pivot, front, stranded in _peels(entries):
         label = 2 * len(pivots) + 1
         for e in front:
             part_x[e[2] - 1] = label

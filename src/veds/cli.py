@@ -73,7 +73,7 @@ def _ordering_for(path: str) -> tuple[BipartiteGraph, LexConvexOrdering]:
 
 
 def _witness_names(refs) -> list[str]:
-    return sorted((v.name() for v in refs), key=lambda s: (s[0], int(s[1:])))
+    return [v.name() for v in sorted(refs)]
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -12,7 +12,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .chains import _coverage_runs
+from .chains import _one_run
 from .errors import CapacityError, GenerationError, InputError
 from .graph import BipartiteGraph, _from_rows
 from .io import MAX_DECLARED, format_graph_text
@@ -146,10 +146,8 @@ def gen_random_convex_bipartite(cfg: GeneratorConfig) -> BipartiteGraph:
             length = min(n2, _geometric(rng, mean))
             a = rng.randint(1, n2 - length + 1)
             spans.append((a, a + length - 1, i))
-        if cfg.require_connected:
-            (_, lo, hi), *rest = _coverage_runs(sorted(spans))
-            if rest or (lo, hi) != (1, n2):
-                continue
+        if cfg.require_connected and not _one_run(sorted(spans), n2):
+            continue
         return _from_rows(n2, [list(range(a, b + 1)) for a, b, _ in spans])
     raise GenerationError(
         f"no connected instance after {GENERATION_RETRIES} draws "

@@ -7,12 +7,14 @@ dominates, or commit a Y vertex that additionally covers every stranded X
 vertex of the first peel (a Y blanket) and continue past its reach; the
 smaller branch wins, the pivot on a tie.
 
-The graph's intervals are one ``chains._Component``, whose x_pivot walk is
-also ``decompose``.  A request (start, lo) asks for a state: its front is
-the intervals of the window ``entries[lo:b]`` that contain start, b being
-the first interval starting after start.  The state is every interval of
-``entries[f:]`` whose right end is at least start, f being the front's
-first interval, so requests whose fronts agree share one state.
+The sweep reads the sorted ``ordering.intervals`` through
+``chains._window``; its x_pivot walk alone is ``chains._peels``, which
+``decompose`` and the baseline share.  A request (start, lo) asks for a
+state: its front is the intervals of the window ``entries[lo:b]`` that
+contain start, b being the first interval starting after start.  The state
+is every interval of ``entries[f:]`` whose right end is at least start, f
+being the front's first interval, so requests whose fronts agree share one
+state.
 
 The branch looks only at the state's first overlap run C, the one holding
 start.  The rest R lies right of C's last position, so both children keep
@@ -31,8 +33,8 @@ front interval, which holds that start: at most m states and 2 states + 1
 requests, each resolved in O(n1), so O(m n1) in all.
 
 The baseline solver takes the pivot of each chain that ``chains._peels``
-peels off each connected piece.  It always yields a valid VED-set but is not
-always minimum; ``counterexample_graph`` is a six-vertex instance where it
+peels off the ordering's intervals.  It always yields a valid VED-set but is
+not always minimum; ``counterexample_graph`` is a six-vertex instance where it
 returns two vertices while the optimum is one.
 """
 
@@ -43,7 +45,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
-from .chains import _Component, _coverage_runs, _peels
+from .chains import _peels, _window
 from .errors import ContractError
 from .graph import BipartiteGraph, VertexRef, build_graph, xref, yref
 from .ordering import LexConvexOrdering, ensure_valid_lex_ordering
@@ -111,8 +113,8 @@ def solve_exact(
     def yname(position: int) -> str:
         return f"y{yperm[position - 1]}"
 
-    comp = _Component(list(ordering.intervals), 1, g.n2)
-    entries, lefts, window = comp.entries, comp.lefts, comp.window
+    entries = ordering.intervals
+    lefts = [e[0] for e in entries]
     n = len(entries)
     # sufmin[i]: the least right end in entries[i:], n2 + 1 past the end.
     sufmin = list(accumulate((e[1] for e in reversed(entries)), min, initial=g.n2 + 1))[::-1]
@@ -137,7 +139,7 @@ def solve_exact(
             lo = req[rid]
             sid = seen.get(lo)
             if sid is None:
-                f, b = window(lo, start)
+                f, b = _window(entries, lefts, lo, start)
                 if f == b < n:
                     # No interval holds start: its run has ended, and what
                     # is left is entries[b:], first held at lefts[b].
@@ -211,19 +213,15 @@ def solve_exact(
 
 
 def solve_baseline(g: BipartiteGraph, ordering: LexConvexOrdering) -> SolveResult:
-    """One pivot per chain of each connected piece: the farthest-reaching
-    neighbour of each chain's first Y vertex, read off ``chains._peels``.
+    """One pivot per chain: the farthest-reaching neighbour of each chain's
+    first Y vertex, read off ``chains._peels``.
 
     The result is always a valid VED-set (checked here, as in
     ``solve_exact``) but not always a minimum one; see
     ``counterexample_graph``.  An edgeless graph gives the empty set.
     """
     ensure_valid_lex_ordering(g, ordering)
-    witness = frozenset(
-        xref(pivot)
-        for run in _coverage_runs(ordering.intervals)
-        for _, pivot, _, _ in _peels(_Component(*run))
-    )
+    witness = frozenset(xref(pivot) for _, pivot, _, _ in _peels(ordering.intervals))
     if not ordering.dominated_by(witness):
         raise ContractError("solve_baseline built an invalid witness")
     return SolveResult(len(witness), witness, ())

@@ -600,14 +600,16 @@ def test_sparse_trace_length_is_linear(monkeypatch):
     # a solve and 1 over a decomposition, whose rounds read disjoint
     # windows.  Paths also check gamma_ve(P_k) = (k+2)//4.
     read = [0]
-    window = chains._Component.window
+    window = chains._window
 
-    def counted_window(comp, lo, start):
-        f, b = window(comp, lo, start)
+    def counted_window(entries, lefts, lo, start):
+        f, b = window(entries, lefts, lo, start)
         read[0] += b - lo
         return f, b
 
-    monkeypatch.setattr(chains._Component, "window", counted_window)
+    # The solver imports _window by name; _peels reads the module's.
+    monkeypatch.setattr(chains, "_window", counted_window)
+    monkeypatch.setattr(veds.solver, "_window", counted_window)
     rng, relabel_rng = random.Random(137), random.Random(139)
     cases = [(path_graph(2 * n), 2 * n) for n in (100, 200, 400, 800)]
     cases += [(chain_graph(n1, rng), None) for n1 in (110, 220, 440, 880)]
@@ -618,30 +620,29 @@ def test_sparse_trace_length_is_linear(monkeypatch):
             r = solve_exact(g, ordv)
             assert k is None or r.gamma_ve == (k + 2) // 4
             assert r.stats.states <= 2 * g.n2
-            # Every state is found by reading its window through
-            # _Component.window.
+            # Every state is found by reading its window through _window.
             assert r.stats.states <= read[0] <= 8 * len(ordv.intervals)
             read[0] = 0
             decompose(g, ordv)
             assert read[0] <= len(ordv.intervals)
 
     # The window from the first interval past floor gives the front by its
-    # definition, for every floor < start: entries[f] is its first interval.
-    rng, pieces = random.Random(149), 0
-    while pieces < 300:
+    # definition, for every floor < start over the whole sorted interval
+    # list, gaps between pieces included: entries[f] is its first interval.
+    rng = random.Random(149)
+    for _ in range(300):
         g = short_interval_graph(rng)
-        for run, ylo, yhi in chains._coverage_runs(ordered(g).intervals):
-            comp = chains._Component(run, ylo, yhi)
-            for start in range(ylo, yhi + 1):
-                for floor in range(start):
-                    lo = bisect_right(comp.lefts, floor)
-                    f, b = window(comp, lo, start)
-                    assert b == bisect_right(comp.lefts, start)
-                    assert all(e[1] < start for e in run[lo:f])
-                    assert [e for e in run[f:b] if e[1] >= start] == [
-                        e for e in run if floor < e[0] <= start <= e[1]
-                    ]
-            pieces += 1
+        entries = ordered(g).intervals
+        lefts = [e[0] for e in entries]
+        for start in range(1, g.n2 + 1):
+            for floor in range(start):
+                lo = bisect_right(lefts, floor)
+                f, b = window(entries, lefts, lo, start)
+                assert b == bisect_right(lefts, start)
+                assert all(e[1] < start for e in entries[lo:f])
+                assert [e for e in entries[f:b] if e[1] >= start] == [
+                    e for e in entries if floor < e[0] <= start <= e[1]
+                ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -654,10 +655,17 @@ def test_gamma_of_disjoint_union_is_the_sum(first, second):
         list(a.edges()) + [(i + a.n1, j + a.n2) for i, j in b.edges()],
     )
     sigma = sigma_a + tuple(j + a.n2 for j in sigma_b)  # b's Y after a's
-    assert solve_exact(union, compute_lex_convex_ordering(union, sigma)).gamma_ve == (
-        solve_exact(a, compute_lex_convex_ordering(a, sigma_a)).gamma_ve
-        + solve_exact(b, compute_lex_convex_ordering(b, sigma_b)).gamma_ve
+    ord_u = compute_lex_convex_ordering(union, sigma)
+    ord_a = compute_lex_convex_ordering(a, sigma_a)
+    ord_b = compute_lex_convex_ordering(b, sigma_b)
+    assert solve_exact(union, ord_u).gamma_ve == (
+        solve_exact(a, ord_a).gamma_ve + solve_exact(b, ord_b).gamma_ve
     )
+    # b's Y positions follow a's, so a piece of a and one of b can touch
+    # with no Y position between them; the baseline's walk over the whole
+    # interval list must not merge them.
+    shifted = {xref(v.index + a.n1) for v in solve_baseline(b, ord_b).witness}
+    assert solve_baseline(union, ord_u).witness == solve_baseline(a, ord_a).witness | shifted
 
 
 @settings(max_examples=100, deadline=None)

@@ -51,6 +51,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
 
 import veds  # noqa: E402
+from veds.chains import _one_run  # noqa: E402
 from veds.io import _read_canonical, _read_lines  # noqa: E402
 from workloads import chain_graph, path_graph, relabel_y  # noqa: E402
 
@@ -108,7 +109,9 @@ def case(g: veds.BipartiteGraph, yorder: tuple[int, ...]) -> dict:
     del text
     ordering = timed(ms, spread, "ordering", veds.compute_lex_convex_ordering, g, yorder)
     result = timed(ms, spread, "solve_exact", veds.solve_exact, g, ordering)
-    if len(veds.connected_components(g)) == 1:
+    # decompose's own connectivity rule: no isolated X vertex and one run of
+    # intervals spanning every Y position (every case has n > 1).
+    if len(ordering.intervals) == g.n1 and _one_run(ordering.intervals, g.n2):
         decomp = timed(ms, spread, "decompose", veds.decompose, g, ordering)
         timed(ms, spread, "lemma", veds.verify_decomposition_lemma, g, decomp)
     else:  # the decomposition lemma is about one connected graph
