@@ -76,6 +76,10 @@ def _witness_names(refs) -> list[str]:
     return [v.name() for v in sorted(refs)]
 
 
+def _name_set(refs) -> str:
+    return "{" + ", ".join(_witness_names(refs)) + "}"
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.algorithm == "bruteforce":
@@ -106,7 +110,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         print(f"gamma_ve = {result.gamma_ve}")
         if args.emit_set:
-            print("witness = {" + ", ".join(_witness_names(result.witness)) + "}")
+            print("witness = " + _name_set(result.witness))
         if args.trace:
             for s in result.trace:
                 print(f"trace: at ({s.subproblem[0]}, {s.subproblem[1]}) took {s.branch}"
@@ -172,10 +176,6 @@ def _cmd_order(args: argparse.Namespace) -> int:
     for p, (j, left, right) in enumerate(zip(ordering.yperm, left_y, right_y), start=1):
         print(f"{p:>4} {'y' + str(j):>6} {left if left else '-':>5} {right if right else '-':>6}")
     return 0
-
-
-def _name_set(refs) -> str:
-    return "{" + ", ".join(_witness_names(refs)) + "}"
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -338,11 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("ve", help="exhaustive minimum VED-set")
     q.add_argument("file")
     q.add_argument("--json", action="store_true")
-    q.set_defaults(handler=_cmd_oracle, kind="ve")
+    q.set_defaults(handler=_cmd_oracle)
     q = osub.add_parser("setcover", help="exhaustive minimum set cover")
     q.add_argument("file")
     q.add_argument("--json", action="store_true")
-    q.set_defaults(handler=_cmd_oracle, kind="setcover")
+    q.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate random instances")
     gsub = p.add_subparsers(dest="family", required=True)

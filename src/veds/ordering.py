@@ -79,26 +79,31 @@ def validate_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> Convexi
     return _intervals(g, _positions(yperm, g.n2))[1]
 
 
-class LexConvexOrdering:
+class _OrderingFields(NamedTuple):
+    graph: BipartiteGraph
+    yperm: tuple[int, ...]
+    intervals: tuple[Interval, ...]
+    ypos: tuple[int, ...]
+
+
+class LexConvexOrdering(_OrderingFields):
     """A convex ordering of Y plus the lexicographic re-ordering of X, tied to
     the graph it was built from.
 
-    Only ``graph`` and ``yperm`` are inputs.  Every way of building one
-    checks convexity (InputError on a gap) and derives the other fields in
-    the same pass: a direct call, ``_replace``, ``_make``, ``pickle`` and
-    ``copy``.  Fields cannot be assigned, so an ordering always agrees with
-    its graph.  Equality and hashing read ``graph`` and ``yperm``; the repr
-    shows ``yperm`` only.  Unlike the other records it is not a NamedTuple,
-    whose every field would be a constructor argument.
+    Only ``graph`` and ``yperm`` are inputs; ``intervals`` and ``ypos`` are
+    derived from them and cannot be supplied.  Every way of building one
+    checks convexity (InputError on a gap) and derives them in the same
+    pass: a direct call, ``_replace``, ``_make``, ``copy`` and ``pickle``
+    at every protocol.  The repr shows ``yperm`` only.
 
     ``intervals`` lists ``(left, right, x)`` Y-position intervals of the
     non-isolated X vertices in lexicographic order; it is all the solvers
-    and the decomposition read.  ``y_position(j)`` is the position of y_j.
+    and the decomposition read.  ``ypos[j]`` is the position of y_j.
     """
 
-    __slots__ = ("graph", "yperm", "intervals", "_ypos")
+    __slots__ = ()
 
-    def __init__(self, graph: BipartiteGraph, yperm: Sequence[int]) -> None:
+    def __new__(cls, graph: BipartiteGraph, yperm: Sequence[int]) -> LexConvexOrdering:
         ypos = _positions(yperm, graph.n2)
         found, check = _intervals(graph, ypos)
         if not check.ok:
@@ -107,21 +112,7 @@ class LexConvexOrdering:
                 f"at position {check.gap_position}"
             )
         found.sort()
-        for name, value in zip(self.__slots__, (graph, tuple(yperm), tuple(found), tuple(ypos))):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of LexConvexOrdering")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph, self.yperm) == (other.graph, other.yperm)
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.yperm))
+        return super().__new__(cls, graph, tuple(yperm), tuple(found), tuple(ypos))
 
     def __repr__(self) -> str:
         return f"LexConvexOrdering(yperm={self.yperm!r})"
@@ -135,9 +126,6 @@ class LexConvexOrdering:
 
     def _replace(self, **changes: object) -> LexConvexOrdering:
         return type(self)(**{"graph": self.graph, "yperm": self.yperm, **changes})
-
-    def y_position(self, j: int) -> int:
-        return self._ypos[j]
 
     def dominated_by(self, d: Iterable[VertexRef]) -> bool:
         """True iff d is a VED-set of ``graph``, in O(n1 + n2 + |d|).
@@ -157,7 +145,7 @@ class LexConvexOrdering:
             if v.side == "x":
                 xs.add(v.index)
             else:
-                picked[self._ypos[v.index]] = 1
+                picked[self.ypos[v.index]] = 1
         steps = [0] * (self.graph.n2 + 2)  # difference array of d's intervals
         for left, right, x in self.intervals:
             if x in xs:
@@ -232,9 +220,9 @@ def ensure_valid_lex_ordering(g: BipartiteGraph, ordering: LexConvexOrdering) ->
     """Check that an ordering is paired with the graph it was built from.
 
     A LexConvexOrdering is validated however it is built (a direct call,
-    ``_replace``, ``_make``, ``pickle`` or ``copy``), its fields cannot be
-    assigned, and it derives all of them from its own graph, so the only
-    way to misuse one is to hand it to a function together with a different
+    ``_replace``, ``_make``, ``pickle`` or ``copy``), it is immutable, and
+    it derives its other fields from its own graph, so the only way to
+    misuse one is to hand it to a function together with a different
     graph.  Raises ContractError when ``ordering.graph`` is not equal to g.
     """
     if ordering.graph != g:

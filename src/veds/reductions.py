@@ -50,7 +50,8 @@ class SetSystem(_SetSystemFields):
     """A universe 1..universe and a family of nonempty subsets of it.
 
     Every way of building one checks both fields (InputError): a direct
-    call, ``_replace``, ``_make``, ``pickle`` and ``copy``.
+    call, ``_replace``, ``_make``, ``copy``, and ``pickle`` at every
+    protocol, whose recipe is the constructor call.
     """
 
     __slots__ = ()
@@ -65,6 +66,9 @@ class SetSystem(_SetSystemFields):
                 if not 1 <= e <= universe:
                     raise InputError(f"set {k} contains out-of-range element {e}")
         return super().__new__(cls, universe, sets)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
 
     @classmethod
     def _make(cls, fields: Iterable) -> SetSystem:
@@ -110,9 +114,6 @@ class ReductionArtifact(NamedTuple):
     vertex_roles: tuple[tuple[str, VertexRef], ...]
     system: SetSystem
     coverless: bool
-
-    def roles(self) -> dict[str, VertexRef]:
-        return dict(self.vertex_roles)
 
 
 def _require_family_fits(ss: SetSystem) -> None:

@@ -111,7 +111,7 @@ def reference_lemma(g: BipartiteGraph, decomp) -> DecompositionLemmaReport:
             f"x{bad[0]} has no neighbour in the chain's Y side" if bad
             else "all stranded vertices touch the chain")))
         if idx < len(chains):
-            last_y = max(hy, key=decomp.ordering.y_position)
+            last_y = max(hy, key=decomp.ordering.ypos.__getitem__)
             linked = next((i for i in xs[own + 2] if last_y in adj_x[i - 1]), 0)
             checks.append(ClauseCheck(idx, "next-chain-linked", bool(linked), (
                 f"y{last_y} reaches x{linked} in chain {idx + 1}" if linked

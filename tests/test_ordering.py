@@ -160,7 +160,7 @@ def test_permutations_are_bijections(tmp_path, capsys):
         assert sorted(payload["xperm"]) == list(range(1, g.n1 + 1))
         assert sorted(ordv.yperm) == list(range(1, g.n2 + 1))
         for j in ordv.yperm:
-            assert ordv.yperm[ordv.y_position(j) - 1] == j
+            assert ordv.yperm[ordv.ypos[j] - 1] == j
 
 
 def test_exhaustive_search_counterexample(counterexample):

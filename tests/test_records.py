@@ -66,12 +66,6 @@ def test_graph_record_is_its_x_rows():
     assert BipartiteGraph._fields == ("n1", "n2", "adj_x")
 
 
-def field_names(record):
-    if isinstance(record, LexConvexOrdering):
-        return ("graph", "yperm", "intervals")
-    return record._fields
-
-
 @pytest.mark.parametrize("record", public_records(), ids=lambda r: type(r).__name__)
 def test_record_is_an_immutable_value(record):
     for other in (
@@ -81,9 +75,9 @@ def test_record_is_an_immutable_value(record):
     ):
         assert type(other) is type(record) and other == record
         assert hash(other) == hash(record)
-        for name in field_names(record):
+        for name in record._fields:
             assert getattr(other, name) == getattr(record, name)
-    for name in field_names(record):
+    for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
 
@@ -93,9 +87,7 @@ def test_ordering_survives_pickle_and_copy_with_its_derived_fields():
     ordering = compute_lex_convex_ordering(g, (3, 2, 1))
     for other in (pickle.loads(pickle.dumps(ordering)), copy.deepcopy(ordering)):
         assert other.intervals == ordering.intervals
-        assert [other.y_position(j) for j in (1, 2, 3)] == [3, 2, 1]
-    with pytest.raises(AttributeError):
-        ordering._ypos = (0, 1, 2, 3)
+        assert other.ypos == (0, 3, 2, 1)
 
 
 def test_ordering_replace_derives_fields_from_the_new_yperm():
@@ -105,7 +97,7 @@ def test_ordering_replace_derives_fields_from_the_new_yperm():
     fresh = compute_lex_convex_ordering(g, (3, 2, 1))
     assert flipped == fresh and flipped != ordering
     assert flipped.intervals == fresh.intervals != ordering.intervals
-    assert flipped.y_position(1) == 3
+    assert flipped.ypos[1] == 3
     assert LexConvexOrdering._make((g, (3, 2, 1))).intervals == fresh.intervals
     assert ordering._replace() == ordering
 
@@ -121,12 +113,28 @@ def test_ordering_compares_by_graph_and_yperm_and_reprs_without_the_graph():
     assert repr(ordering) == "LexConvexOrdering(yperm=(1, 2, 3))"
 
 
-def rebuild_from_pickle_recipe(record, **changes):
-    """Run the constructor that unpickling runs, with the named fields
-    swapped for new values."""
-    func, args = record.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+def test_ordering_derived_fields_cannot_be_supplied():
+    g = counterexample_graph()
+    ordering = compute_lex_convex_ordering(g, (1, 2, 3))
+    assert ordering._fields == ("graph", "yperm", "intervals", "ypos")
+    for build in (
+        lambda: LexConvexOrdering(g, (1, 2, 3), ordering.intervals, ordering.ypos),
+        lambda: ordering._replace(intervals=()),
+        lambda: LexConvexOrdering._make(tuple(ordering)),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def rebuild_from_pickle_recipe(record, protocol, **changes):
+    """Run the constructor that unpickling at this protocol runs, with the
+    named fields swapped for new values."""
+    func, args = record.__reduce_ex__(protocol)[:2]
     swap = {id(getattr(record, name)): value for name, value in changes.items()}
     return func(*(swap.get(id(a), a) for a in args))
+
+
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 
 
 def ordering_builds(yperm):
@@ -136,8 +144,7 @@ def ordering_builds(yperm):
         lambda: LexConvexOrdering(g, yperm),
         lambda: good._replace(yperm=yperm),
         lambda: LexConvexOrdering._make((g, yperm)),
-        lambda: rebuild_from_pickle_recipe(good, yperm=yperm),
-    ]
+    ] + [lambda p=p: rebuild_from_pickle_recipe(good, p, yperm=yperm) for p in PROTOCOLS]
 
 
 def set_system_builds(universe, sets):
@@ -147,7 +154,9 @@ def set_system_builds(universe, sets):
         lambda: SetSystem(universe=universe, sets=sets),
         lambda: good._replace(universe=universe, sets=sets),
         lambda: SetSystem._make((universe, sets)),
-        lambda: rebuild_from_pickle_recipe(good, universe=universe, sets=sets),
+    ] + [
+        lambda p=p: rebuild_from_pickle_recipe(good, p, universe=universe, sets=sets)
+        for p in PROTOCOLS
     ]
 
 

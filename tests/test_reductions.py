@@ -68,7 +68,7 @@ def test_star_reduction_shape_small():
     art = reduce_star_convex(system(2, {1}, {1, 2}))
     assert (art.graph.n1, art.graph.n2) == (4, 5)
     assert art.graph.m == 9
-    roles = art.roles()
+    roles = dict(art.vertex_roles)
     assert roles["u"] == xref(3) and roles["v"] == yref(5) and roles["u'"] == xref(4)
     assert art.certificate.kind == "star" and art.certificate.center == 3
 

@@ -137,10 +137,10 @@ def test_baseline_is_the_decomposition_pivots():
         d = decompose(g, ordv)
         assert len(d.pivots) == len(d.chains)
         for (hx, hy), pivot in zip(d.chains, d.pivots):
-            first_y = min(hy, key=ordv.y_position)
+            first_y = min(hy, key=ordv.ypos.__getitem__)
             assert pivot == max(
                 (i for i in hx if first_y in g.adj_x[i - 1]),
-                key=lambda i: (max(ordv.y_position(j) for j in g.adj_x[i - 1]), i),
+                key=lambda i: (max(ordv.ypos[j] for j in g.adj_x[i - 1]), i),
             )
         assert solve_baseline(g, ordv).witness == {xref(p) for p in d.pivots}
 
