@@ -7,7 +7,7 @@ comb-convex graphs, and brute-force oracles for desk-scale verification.
 
 from .chains import (
     ChainDecomposition,
-    DecompositionLemmaReport,
+    ClauseCheck,
     decompose,
     verify_decomposition_lemma,
 )

@@ -10,7 +10,7 @@ itself a chain graph it is emitted whole as the final chain.  Each peel is
 one ``x_pivot`` step of the exact solver, read off ``ordering.intervals``
 through the same ``_window``, by ``_peels``; the chain-pivot baseline reads
 its pivots from the same walk.  A decomposition labels each vertex with its
-part.
+part and keeps no pivots: ``solve_baseline`` is the one place they live.
 
 ``verify_decomposition_lemma`` checks a decomposition against the graph
 alone, without the intervals: one pass over the X rows in ascending index,
@@ -31,7 +31,6 @@ from .ordering import Interval, LexConvexOrdering, ensure_valid_lex_ordering
 __all__ = [
     "ChainDecomposition",
     "ClauseCheck",
-    "DecompositionLemmaReport",
     "decompose",
     "verify_decomposition_lemma",
 ]
@@ -43,15 +42,12 @@ class ChainDecomposition(NamedTuple):
     ``part_x[i - 1]`` and ``part_y[j - 1]`` label x_i and y_j: 2k - 1 for
     chain k, 2k for the X vertices stranded right after it (Y vertices are
     never stranded), and 0 for the tail, the vertices no chain covers, which
-    only the edgeless one-vertex graph has.  ``pivots[k - 1]`` is the
-    farthest-reaching neighbour of chain k's first Y vertex, ties to the
-    larger index: the chain-pivot baseline's pick.  The ordering the
-    decomposition was computed under is kept for verification.
+    only the edgeless one-vertex graph has.  The ordering the decomposition
+    was computed under is kept for verification.
     """
 
     part_x: tuple[int, ...]
     part_y: tuple[int, ...]
-    pivots: tuple[int, ...]
     ordering: LexConvexOrdering
 
     def parts(self) -> tuple[list[tuple[list[int], list[int]]], list[list[int]], list[VertexRef]]:
@@ -110,10 +106,10 @@ def _nested(entries: list[Interval]) -> bool:
 
 def _peels(
     entries: Sequence[Interval],
-) -> Iterator[tuple[int, int, list[Interval], list[Interval]]]:
-    """The chains of sorted intervals in order, each as (reach, pivot, front,
-    stranded): its last Y position, its pivot, the intervals of its X side
-    and those of the X vertices stranded after it.
+) -> Iterator[tuple[int, int, int, list[Interval], list[Interval]]]:
+    """The chains of sorted intervals in order, each as (start, reach, pivot,
+    front, stranded): its first and last Y positions, its pivot, the
+    intervals of its X side and those of the X vertices stranded after it.
 
     The peels are the exact solver's ``x_pivot`` walk: each starts one past
     the previous chain's reach, or, where no interval holds that position,
@@ -148,7 +144,7 @@ def _peels(
         )
         if whole_is_chain:
             front, stranded = front + stranded, []
-        yield reach, pivot, front, stranded
+        yield start, reach, pivot, front, stranded
         lo, start = b, reach + 1
 
 
@@ -161,20 +157,17 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
     # intervals spanning every Y position.
     if g.n > 1 and not (len(entries) == g.n1 and _one_run(entries, g.n2)):
         raise ContractError("decompose requires a connected graph; split components first")
-    part_x, part_y, pivots = [0] * g.n1, [0] * g.n2, []
-    start = 1  # the chain's first Y position
+    part_x, part_y, label = [0] * g.n1, [0] * g.n2, -1
     # No edges: a connected graph this small is a single vertex, the tail.
-    for reach, pivot, front, stranded in _peels(entries):
-        label = 2 * len(pivots) + 1
+    for start, reach, _, front, stranded in _peels(entries):
+        label += 2
         for e in front:
             part_x[e[2] - 1] = label
         for e in stranded:
             part_x[e[2] - 1] = label + 1
         for j in ordering.yperm[start - 1 : reach]:
             part_y[j - 1] = label
-        pivots.append(pivot)
-        start = reach + 1
-    return ChainDecomposition(tuple(part_x), tuple(part_y), tuple(pivots), ordering)
+    return ChainDecomposition(tuple(part_x), tuple(part_y), ordering)
 
 
 class ClauseCheck(NamedTuple):
@@ -182,14 +175,6 @@ class ClauseCheck(NamedTuple):
     clause: str
     ok: bool
     detail: str
-
-
-class DecompositionLemmaReport(NamedTuple):
-    checks: tuple[ClauseCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 def _chain_count(part_x: Sequence[int], part_y: Sequence[int]) -> int:
@@ -211,7 +196,7 @@ def _chain_count(part_x: Sequence[int], part_y: Sequence[int]) -> int:
 
 def verify_decomposition_lemma(
     g: BipartiteGraph, decomp: ChainDecomposition
-) -> DecompositionLemmaReport:
+) -> tuple[ClauseCheck, ...]:
     """Structural checks on a decomposition, evaluated against g itself.
 
     Per chain i: (a) every stranded vertex of round i is adjacent to the Y
@@ -223,9 +208,9 @@ def verify_decomposition_lemma(
     strand i answer (a) for chain i, those of chain i+1 answer (b), and for
     (c) chain i's own rows give its X-side leaks and the rows of strand i+1
     and chain i+2 its Y-side ones.  The first row found is the least X
-    vertex a detail names.  The chain pass then emits each chain's clauses.
-    O(n + m).  Labels of the wrong shape and a chain with an empty side are
-    a ContractError.
+    vertex a detail names.  The chain pass returns one ``ClauseCheck`` per
+    chain and clause; the lemma holds when all are ok.  O(n + m).  Wrongly
+    shaped labels or a chain with an empty side are a ContractError.
     """
     ensure_valid_lex_ordering(g, decomp.ordering)
     # Y labels as a list indexed by vertex, index 0 unused: read through
@@ -281,4 +266,4 @@ def verify_decomposition_lemma(
         found = leaks.get(idx)
         checks.append(new(ClauseCheck, (idx, "no-forward-reach", not found, (
             "; ".join(sorted(found)) if found else "no adjacency past the next strand"))))
-    return DecompositionLemmaReport(tuple(checks))
+    return tuple(checks)

@@ -240,6 +240,8 @@ def parse_set_system_text(text: str) -> SetSystem:
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: expected 'universe <p>'")
             universe = _ints(parts[1:], lineno)[0]
+            if universe < 1:
+                raise InputError(f"line {lineno}: universe size must be at least 1, got {universe}")
             if universe > MAX_DECLARED:
                 raise CapacityError(
                     f"line {lineno}: universe {universe} exceeds the limit of {MAX_DECLARED}"

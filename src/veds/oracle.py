@@ -49,8 +49,6 @@ def brute_force_gamma_ve(
             f"brute force is capped at {max_vertices} vertices (got {g.n})"
         )
     edges = list(g.edges())
-    if not edges:
-        return SolveResult(0, frozenset(), ())
     incident_x = [0] * (g.n1 + 1)
     incident_y = [0] * (g.n2 + 1)
     for k, (i, j) in enumerate(edges):
@@ -73,14 +71,11 @@ def brute_force_min_cover(ss: SetSystem) -> frozenset[int] | None:
         raise CapacityError(
             f"cover search is capped at {BRUTE_FORCE_SET_LIMIT} sets (got {ss.q})"
         )
-    masks = [sum(1 << (e - 1) for e in s) for s in ss.sets]
-    full = (1 << ss.universe) - 1
-    whole = 0
-    for mk in masks:
-        whole |= mk
-    if whole != full:
+    # is_cover holds only the sets' union, not a universe-sized set.
+    if not ss.is_cover(range(1, ss.q + 1)):
         return None
-    return frozenset(k + 1 for k in _least_cover(masks, full, ss.q))
+    masks = [sum(1 << (e - 1) for e in s) for s in ss.sets]
+    return frozenset(k + 1 for k in _least_cover(masks, (1 << ss.universe) - 1, ss.q))
 
 
 class GeneratorConfig(NamedTuple):
@@ -224,8 +219,8 @@ def cross_check(count: int, size_cap: int, seed: int) -> CrossCheckReport:
 
     Trial 0 is always the shipped counterexample (so its baseline gap is on
     record); the rest are seeded random connected convex instances with
-    n1 + n2 <= size_cap.  Disagreements ship the failing instance inline in
-    the graph text format for immediate replay.
+    n1 + n2 <= size_cap, Y renamed at random in the odd trials.  A
+    disagreement ships its instance and yorder in the graph text format.
     """
     if size_cap < 2:
         raise InputError(f"size cap must be at least 2 vertices (got {size_cap})")
@@ -242,7 +237,11 @@ def cross_check(count: int, size_cap: int, seed: int) -> CrossCheckReport:
         else:
             rng = random.Random(seed * 1_000_003 + t)
             g = random_connected_instance(rng, size_cap)
-        ordering = compute_lex_convex_ordering(g, identity_permutation(g.n2))
+        yorder = identity_permutation(g.n2)
+        if t % 2:  # y_j becomes y_{yorder[j - 1]}
+            yorder = tuple(rng.sample(yorder, g.n2))
+            g = _from_rows(g.n2, [[yorder[j - 1] for j in row] for row in g.adj_x])
+        ordering = compute_lex_convex_ordering(g, yorder)
         exact = solve_exact(g, ordering)
         truth = brute_force_gamma_ve(g, max_vertices=max(BRUTE_FORCE_VERTEX_LIMIT, size_cap))
         if exact.gamma_ve == truth.gamma_ve:
@@ -251,7 +250,7 @@ def cross_check(count: int, size_cap: int, seed: int) -> CrossCheckReport:
             disagreements.append(
                 Disagreement(
                     t,
-                    format_graph_text(g, yorder=identity_permutation(g.n2)),
+                    format_graph_text(g, yorder=yorder),
                     truth.gamma_ve,
                     exact.gamma_ve,
                 )

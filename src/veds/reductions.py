@@ -106,14 +106,13 @@ class TreeCertificate(NamedTuple):
 
 class ReductionArtifact(NamedTuple):
     """A reduced graph, its witness tree, the role of every vertex, and the
-    set system it came from.  ``coverless`` flags systems whose universe is
-    not fully covered by the family (the correspondence needs a cover)."""
+    set system it came from.  The correspondence needs a cover, which a
+    system with ``system.uncovered_elements()`` lacks."""
 
     graph: BipartiteGraph
     certificate: TreeCertificate
     vertex_roles: tuple[tuple[str, VertexRef], ...]
     system: SetSystem
-    coverless: bool
 
 
 def _require_family_fits(ss: SetSystem) -> None:
@@ -149,7 +148,6 @@ def _gadget(
         certificate=cert,
         vertex_roles=tuple(roles),
         system=ss,
-        coverless=bool(ss.uncovered_elements()),
     )
 
 
@@ -203,7 +201,6 @@ def vedset_to_cover(art: ReductionArtifact, d: Iterable[VertexRef]) -> frozenset
     """
     g = art.graph
     d = set(d)
-    g.check_refs(d)
     if not is_ve_dominating_set(g, d):
         raise ContractError("the given set is not a VED-set of the reduced graph")
     p, q = art.system.universe, art.system.q
@@ -285,8 +282,8 @@ def verify_tree_convexity(g: BipartiteGraph, cert: TreeCertificate) -> TreeConve
 
 def _least_cover(masks: list[int], full: int, max_size: int) -> tuple[int, ...] | None:
     """The first combination of mask positions whose union is ``full``, by
-    size (at most ``max_size``) and then in lexicographic order, or None."""
-    for size in range(1, max_size + 1):
+    size (0 up to ``max_size``) and then in lexicographic order, or None."""
+    for size in range(max_size + 1):
         for combo in combinations(range(len(masks)), size):
             acc = 0
             for k in combo:

@@ -221,7 +221,7 @@ def solve_baseline(g: BipartiteGraph, ordering: LexConvexOrdering) -> SolveResul
     ``counterexample_graph``.  An edgeless graph gives the empty set.
     """
     ensure_valid_lex_ordering(g, ordering)
-    witness = frozenset(xref(pivot) for _, pivot, _, _ in _peels(ordering.intervals))
+    witness = frozenset(xref(pivot) for _, _, pivot, _, _ in _peels(ordering.intervals))
     if not ordering.dominated_by(witness):
         raise ContractError("solve_baseline built an invalid witness")
     return SolveResult(len(witness), witness, ())

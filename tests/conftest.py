@@ -5,7 +5,6 @@ import pytest
 from veds import (
     BipartiteGraph,
     ContractError,
-    DecompositionLemmaReport,
     GeneratorConfig,
     InputError,
     build_graph,
@@ -80,7 +79,7 @@ def is_chain_graph(g: BipartiteGraph) -> bool:
     return all(b <= a for a, b in zip(hoods, hoods[1:]))
 
 
-def reference_lemma(g: BipartiteGraph, decomp) -> DecompositionLemmaReport:
+def reference_lemma(g: BipartiteGraph, decomp) -> tuple[ClauseCheck, ...]:
     """Reference lemma check: the clauses of ``verify_decomposition_lemma``,
     chain by chain.  Each X row's set of neighbour labels is kept for the
     whole check, the vertices are bucketed by ``decomp.parts()``, and each
@@ -125,7 +124,7 @@ def reference_lemma(g: BipartiteGraph, decomp) -> DecompositionLemmaReport:
             leaks += [f"y{j}~x{i} ({where})" for j, i in first.items()]
         checks.append(ClauseCheck(idx, "no-forward-reach", not leaks, (
             "; ".join(sorted(leaks)) if leaks else "no adjacency past the next strand")))
-    return DecompositionLemmaReport(tuple(checks))
+    return tuple(checks)
 
 
 def naive_undominated_edges(g: BipartiteGraph, d) -> list[tuple[int, int]]:

@@ -17,6 +17,7 @@ from veds import (
     xref,
     yref,
 )
+from veds.chains import _peels
 
 from conftest import (
     complete,
@@ -31,8 +32,11 @@ from test_solver import chain_graph, golden_instances, path_graph
 
 
 def test_decompose_counterexample(counterexample):
-    d = decompose(counterexample, ordered(counterexample))
-    assert (d.part_x, d.part_y, d.pivots) == ((1, 2, 3), (1, 1, 3), (1, 3))
+    ordv = ordered(counterexample)
+    d = decompose(counterexample, ordv)
+    assert (d.part_x, d.part_y) == ((1, 2, 3), (1, 1, 3))
+    # (start, reach, pivot) of each peel: chain 1 holds Y positions 1-2.
+    assert [peel[:3] for peel in _peels(ordv.intervals)] == [(1, 2, 1), (3, 3, 3)]
     assert d.parts() == ([([1], [1, 2]), ([3], [3])], [[2], []], [])
 
 
@@ -52,9 +56,9 @@ def test_decompose_complete_bipartite_single_chain():
 def test_decompose_single_vertex_is_the_tail():
     for g, vertex in ((build_graph(1, 0, []), xref(1)), (build_graph(0, 1, []), yref(1))):
         d = decompose(g, ordered(g))
-        assert (d.part_x, d.part_y, d.pivots) == ((0,) * g.n1, (0,) * g.n2, ())
+        assert (d.part_x, d.part_y) == ((0,) * g.n1, (0,) * g.n2)
         assert d.parts() == ([], [], [vertex])
-        assert verify_decomposition_lemma(g, d).checks == ()
+        assert verify_decomposition_lemma(g, d) == ()
 
 
 def test_decompose_requires_connected():
@@ -108,23 +112,23 @@ def test_is_chain_graph_side_symmetric():
 
 def test_lemma_counterexample(counterexample):
     d = decompose(counterexample, ordered(counterexample))
-    report = verify_decomposition_lemma(counterexample, d)
-    assert report.passed
-    clauses = {(c.chain_index, c.clause) for c in report.checks}
+    checks = verify_decomposition_lemma(counterexample, d)
+    assert all(c.ok for c in checks)
+    clauses = {(c.chain_index, c.clause) for c in checks}
     assert (1, "strand-attached") in clauses
     assert (1, "next-chain-linked") in clauses
 
 
 def test_lemma_complete_bipartite_vacuous():
     g = complete(2, 2)
-    report = verify_decomposition_lemma(g, decompose(g, ordered(g)))
-    assert report.passed
-    assert all(c.clause != "next-chain-linked" for c in report.checks)
+    checks = verify_decomposition_lemma(g, decompose(g, ordered(g)))
+    assert all(c.ok for c in checks)
+    assert all(c.clause != "next-chain-linked" for c in checks)
 
 
 def test_lemma_p8(p8):
-    report = verify_decomposition_lemma(p8, decompose(p8, ordered(p8)))
-    assert report.passed
+    checks = verify_decomposition_lemma(p8, decompose(p8, ordered(p8)))
+    assert all(c.ok for c in checks)
 
 
 def test_lemma_rejects_foreign_decomposition(counterexample, p8):
@@ -145,7 +149,7 @@ def test_chain_remainders_are_emitted_whole():
     for _ in range(150):
         g, ordv = random_convex_instance(rng, max_side=8, connected=True)
         d = decompose(g, ordv)
-        k = len(d.pivots)
+        k = len(d.chains)
         for i in range(k):
             # Rounds i.. (0-based) carry the labels above 2i.
             xs = [v for v, label in enumerate(d.part_x, start=1) if label > 2 * i]
@@ -163,13 +167,13 @@ def test_random_decompositions_partition_and_verify():
         assert (len(d.part_x), len(d.part_y)) == (g.n1, g.n2)
         assert all(label % 2 for label in d.part_y)  # no Y vertex is stranded
         chains, strands, tail = d.parts()
-        assert len(chains) == len(strands) == len(d.pivots)
+        assert len(chains) == len(strands)
         for hx, hy in chains:
             assert hx and hy
             sub = induced_subgraph(g, hx, hy)
             assert is_chain_graph(sub)
         assert not tail  # connected inputs leave no tail
-        assert verify_decomposition_lemma(g, d).passed
+        assert all(c.ok for c in verify_decomposition_lemma(g, d))
 
 
 def decomposition_instances():
@@ -189,7 +193,8 @@ def decomposition_instances():
 
 def test_decomposition_digest():
     # sha256 over one line per instance (700 of them, 22,179 chains): the
-    # repr of (chains, strands, pivots), vertex sets as ascending lists.
+    # repr of (chains, strands, pivots), vertex sets as ascending lists, the
+    # pivots as ``_peels`` yields them.
     # Pinned with the decompose that peeled by filtering and re-sorting the
     # remainder; any change to a chain, a strand or a pivot of these deep or
     # relabelled instances shows here.
@@ -197,7 +202,7 @@ def test_decomposition_digest():
     for g, ordv in decomposition_instances():
         d = decompose(g, ordv)
         chains, strands, _ = d.parts()
-        line = (chains, strands, list(d.pivots))
+        line = (chains, strands, [p for _, _, p, _, _ in _peels(ordv.intervals)])
         h.update(repr(line).encode() + b"\n")
     assert h.hexdigest() == (
         "2070a8c49fdd9a28daf00739a7feecec87500852922d2347cef0f78b98ce0aaa"
@@ -215,13 +220,13 @@ def hand_built(g, part_x, part_y):
     """A decomposition of g under the identity ordering with the given
     labels (2k - 1 for chain k, 2k for its strand), which need not satisfy
     the lemma."""
-    return ChainDecomposition(tuple(part_x), tuple(part_y), (), ordered(g))
+    return ChainDecomposition(tuple(part_x), tuple(part_y), ordered(g))
 
 
 def clause_tuples(g, d):
     return [
         (c.chain_index, c.clause, c.ok, c.detail)
-        for c in verify_decomposition_lemma(g, d).checks
+        for c in verify_decomposition_lemma(g, d)
     ]
 
 
@@ -342,7 +347,7 @@ def _mutate(d, rng):
     """d with one seeded fault in its labels: a vertex moved to another part
     or two chains' Y sides swapped.  No chain side is left empty."""
     part_x, part_y = list(d.part_x), list(d.part_y)
-    k = len(d.pivots)
+    k = len(d.chains)
     while True:
         kind = rng.randrange(4)
         if kind == 0:  # an X vertex moves to another chain, a strand or the tail
@@ -393,13 +398,13 @@ def _same_verdict(g, d):
     """What both lemma checks give d, after asserting that they agree: the
     same checks, or a ContractError with the same message (returned)."""
     try:
-        expected = reference_lemma(g, d).checks
+        expected = reference_lemma(g, d)
     except ContractError as error:
         with pytest.raises(ContractError) as raised:
             verify_decomposition_lemma(g, d)
         assert str(raised.value) == str(error)
         return str(error)
-    assert verify_decomposition_lemma(g, d).checks == expected
+    assert verify_decomposition_lemma(g, d) == expected
     return expected
 
 
@@ -439,7 +444,7 @@ def test_lemma_is_the_reference_lemma(counterexample, p8):
     assert failing >= draws // 3
     raised, passed = Counter(), 0
     for g, d in _relabelled_instances(rng, 60):
-        k = len(d.pivots)
+        k = len(d.chains)
         for _ in range(10):
             part_x = [rng.randrange(2 * k + 3) for _ in range(g.n1)]
             part_y = [rng.choice([0, *range(1, 2 * k + 2, 2)]) for _ in range(g.n2)]

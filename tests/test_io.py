@@ -385,6 +385,13 @@ def test_set_system_round_trip():
         pytest.param("universe 2\nset 1:\n", "line 2: set 1 is empty",
                      id="universe 2\nset 1:\n-empty"),
         pytest.param("universe 2\n", "set system declares no sets", id="universe 2\n-no sets"),
+        # A universe below 1 is refused at its own line, before any set.
+        pytest.param("universe 0\nset 1: 1\n", "line 1: universe size must be at least 1, got 0",
+                     id="universe 0\nset 1: 1\n-universe at least 1"),
+        pytest.param("universe 0\n", "line 1: universe size must be at least 1, got 0",
+                     id="universe 0\n-universe at least 1"),
+        pytest.param("# c\nuniverse -2\n", "line 2: universe size must be at least 1, got -2",
+                     id="comment-then-negative-universe"),
         # Blank and comment lines count towards the line numbers.
         pytest.param("\nuniverse 2\nfrobnicate 1\n", "line 3: unknown directive 'frobnicate'",
                      id="blank-then-unknown-directive"),

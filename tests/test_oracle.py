@@ -18,6 +18,7 @@ from veds import (
     format_graph_text,
     gen_random_convex_bipartite,
     is_ve_dominating_set,
+    parse_graph_text,
     validate_convex_ordering,
     xref,
     yref,
@@ -377,6 +378,37 @@ def test_cross_check_small_run_agrees():
     # Trial 0 is the shipped counterexample, whose baseline gap is 1.
     assert rep.strict_gap_trials >= 1
     assert rep.gap_max >= 1
+
+
+def test_cross_check_solves_odd_trials_under_random_y_labellings(monkeypatch):
+    # gamma_ve and the baseline's gap do not depend on the Y names, so the
+    # renamed trials leave the report as it was.  An odd trial with n2 <= 1
+    # or a drawn identity stays on the identity ordering.
+    expected = cross_check(40, 12, 5)
+    solve_exact, seen = veds.oracle.solve_exact, []
+
+    def solve(g, ordering):
+        seen.append((g, ordering.yperm))
+        return solve_exact(g, ordering)
+
+    monkeypatch.setattr(veds.oracle, "solve_exact", solve)
+    assert cross_check(40, 12, 5) == expected
+    moved = [t for t, (_, yperm) in enumerate(seen) if yperm != tuple(range(1, len(yperm) + 1))]
+    assert len(moved) >= 4 and all(t % 2 for t in moved)
+
+    # A disagreement on a renamed trial replays under the ordering it was
+    # solved under: its text declares that yperm.
+    def wrong(g, ordering):
+        result = solve(g, ordering)
+        if len(seen) - 1 == moved[0]:
+            return result._replace(gamma_ve=result.gamma_ve + 1)
+        return result
+
+    seen.clear()
+    monkeypatch.setattr(veds.oracle, "solve_exact", wrong)
+    (d,) = cross_check(40, 12, 5).disagreements
+    assert d.trial == moved[0]
+    assert parse_graph_text(d.graph_text) == seen[moved[0]]
 
 
 def test_cross_check_deterministic_byte_for_byte():

@@ -13,9 +13,11 @@ import pytest
 import veds
 from veds import (
     BipartiteGraph,
+    ChainDecomposition,
     GeneratorConfig,
     InputError,
     LexConvexOrdering,
+    ReductionArtifact,
     SetSystem,
     build_graph,
     compute_lex_convex_ordering,
@@ -48,13 +50,13 @@ def public_records():
     g = counterexample_graph()
     ordering = compute_lex_convex_ordering(g, (1, 2, 3))
     decomp = decompose(g, ordering)
-    report = verify_decomposition_lemma(g, decomp)
+    checks = verify_decomposition_lemma(g, decomp)
     result = solve_exact(g, ordering, trace=True)
     ss = SetSystem(3, (frozenset({1, 2}), frozenset({2, 3})))
     art = reduce_comb_convex(ss)
     return [
         g, xref(1), validate_convex_ordering(g, (1, 2, 3)), ordering,
-        decomp, report, report.checks[0], result, result.stats, result.trace[0],
+        decomp, checks[0], result, result.stats, result.trace[0],
         ss, art, art.certificate, verify_tree_convexity(art.graph, art.certificate),
         GeneratorConfig(4, 5, 0.5, seed=3), cross_check(3, 8, 1),
         Disagreement(1, "graph 1 1\nedge 1 1\n", 1, 2),
@@ -64,6 +66,15 @@ def public_records():
 def test_graph_record_is_its_x_rows():
     # Each edge is stored once, in its X row; the Y side is derived.
     assert BipartiteGraph._fields == ("n1", "n2", "adj_x")
+
+
+def test_records_store_no_answer_another_part_owns():
+    # The baseline's pivots live in solve_baseline, the lemma's verdict is
+    # all(c.ok for c in checks), and coverability is the set system's own.
+    assert ChainDecomposition._fields == ("part_x", "part_y", "ordering")
+    assert ReductionArtifact._fields == ("graph", "certificate", "vertex_roles", "system")
+    assert not hasattr(veds, "DecompositionLemmaReport")
+    assert veds.ClauseCheck._fields == ("chain_index", "clause", "ok", "detail")
 
 
 @pytest.mark.parametrize("record", public_records(), ids=lambda r: type(r).__name__)

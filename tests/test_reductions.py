@@ -300,7 +300,7 @@ def test_reduction_outputs_digest():
                 format_graph_text(art.graph),
                 (c.kind, c.edges, c.center, c.backbone, c.teeth),
                 [(name, ref.name()) for name, ref in art.vertex_roles],
-                art.coverless,
+                bool(art.system.uncovered_elements()),
             )
             h.update(repr(line).encode() + b"\n")
     assert h.hexdigest() == (

@@ -1,4 +1,5 @@
-"""Split-heavy inputs for the exact solver: the tiled graphs T_k.
+"""The tiled graphs T_k: inputs that blew up the old state-splitting exact
+solver, kept as a scaling family for the one-sweep solver.
 
 ``S`` is 64 Y intervals on positions 1..64, found by a hill-climb on the
 state count of a solver that split states into runs; x_i has the interval

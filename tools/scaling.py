@@ -5,7 +5,8 @@ the ordering layer does real work: the paths P_2n and the short-interval
 chains of ``perfbench/workloads.py``, random short intervals (n1 = n2, mean
 interval length about 4, not required to be connected, so they fall into
 several pieces), the dense graphs of acceptance criterion 6 (n1 = n2,
-density 0.1) and the split-heavy tiled graphs T_k of ``tools/hostile.py``.
+density 0.1) and the tiled graphs T_k of ``tools/hostile.py``, which blew up
+the old state-splitting solver and stay as a scaling family.
 Each family doubles its size from a small start until the layer medians of
 one case together run past ``--budget`` seconds or the family reaches its
 largest size: n1 = 102400 for paths, chains and short intervals (n = 2e5,
