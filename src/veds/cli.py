@@ -6,8 +6,14 @@ stdout, diagnostics to stderr.  Exit codes: 0 success, 1 domain or contract
 error, 2 input or parse error, 3 capacity error.
 
 ``main`` builds its argparse tree once per process, on its first call, and
-reuses it for every later call: ``parse_args`` only reads the parser and
-fills a fresh namespace each time.  Importing this module builds nothing.
+reuses it for every later call.  With the tree it builds a table of each
+command's actions, read off the tree itself.  A plain argv (the command
+words, then exact option strings, each value in a token of its own that
+passes the option's type and choices) is read straight off that table into
+the namespace ``parse_args`` would return.  Any other argv goes to
+``parse_args``, so help, usage errors and abbreviations such as ``--alg``
+still come from argparse, with its text and exit codes.  Importing this
+module builds nothing.
 """
 
 from __future__ import annotations
@@ -240,7 +246,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             print(_format_certificate(art), end="")
     for name, ref in art.vertex_roles:
         print(f"{name} = {ref.name()}", file=sys.stderr if args.out is None else sys.stdout)
-    if ss.uncovered_elements():
+    if not ss.is_cover(range(1, ss.q + 1)):
         print("warning: some element lies in no set (no cover exists)", file=sys.stderr)
     return 0
 
@@ -364,15 +370,104 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_commands(parser: argparse.ArgumentParser, words=(), start=None) -> dict:
+    """Map each leaf command path of ``parser``, such as ``("oracle", "ve")``,
+    to what ``_read_plain`` needs, read off the parser's own actions: the
+    number of command words, the namespace before any token after them is
+    read, the positional actions, the option actions by exact option string
+    (help left out) and the required options.  A leaf with an action other
+    than a one-value ``store`` or a ``store_true`` gets no entry."""
+    # argparse fills each level's namespace with its action defaults, then
+    # its set_defaults; a subcommand's level overrides its parent's.
+    level = {a.dest: a.default for a in parser._actions
+             if argparse.SUPPRESS not in (a.dest, a.default)}
+    start = {**(start or {}), **parser._defaults, **level}
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    table = {}
+    for a in actions:
+        if isinstance(a, argparse._SubParsersAction):
+            for word, sub in a.choices.items():
+                table.update(_plain_commands(sub, words + (word,), {**start, a.dest: word}))
+            return table
+    if not all(type(a) is argparse._StoreTrueAction
+               or (type(a) is argparse._StoreAction and a.nargs is None) for a in actions):
+        return table
+    table[words] = (
+        len(words),
+        start,
+        tuple(a for a in actions if not a.option_strings),
+        {s: a for a in actions for s in a.option_strings},
+        frozenset(a for a in actions if a.option_strings and a.required),
+    )
+    return table
+
+
+def _read_plain(argv: list[str], table: dict) -> argparse.Namespace | None:
+    """The namespace ``parse_args(argv)`` returns, read straight off
+    ``table`` (see ``_plain_commands``) when ``argv`` is plain, else None.
+
+    Plain means: the command words, then tokens in which each one that
+    starts with ``-`` is an exact option string of the command; a
+    ``store_true`` option sets its constant, a ``store`` option takes the
+    next token, which must not start with ``-`` and must pass the action's
+    type and choices; the last of a repeated option wins; every positional
+    is filled once and every required option is given.  Anything else
+    (help, abbreviations, ``--opt=value``, ``--``, negative values, usage
+    errors) is left to argparse, so its help and error text stay its own.
+    """
+    entry = table.get(tuple(argv[:1])) or table.get(tuple(argv[:2]))
+    if entry is None:
+        return None
+    i, start, positionals, options, required = entry
+    values = dict(start)
+    seen = set()
+    filled = 0
+    n = len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if token[:1] != "-":
+            if filled == len(positionals):
+                return None
+            action = positionals[filled]
+            filled += 1
+        else:
+            action = options.get(token)
+            if action is None:
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            if i == n or argv[i][:1] == "-":
+                return None
+            token = argv[i]
+            i += 1
+        try:
+            value = action.type(token) if action.type else token
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if filled < len(positionals) or not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 _parser: argparse.ArgumentParser | None = None
+_plain: dict = {}
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
+    global _parser, _plain
     if _parser is None:
         _parser = build_parser()
+        _plain = _plain_commands(_parser)
     try:
-        args = _parser.parse_args(argv)
+        args = _read_plain(sys.argv[1:] if argv is None else argv, _plain)
+        if args is None:
+            args = _parser.parse_args(argv)
         return args.handler(args)
     except VedsError as exc:
         print(f"error: {exc}", file=sys.stderr)

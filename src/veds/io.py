@@ -216,7 +216,8 @@ def format_graph_text(g: BipartiteGraph, yorder: tuple[int, ...] | None = None) 
 
 def _read_text(path: str | Path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 

@@ -107,7 +107,7 @@ class TreeCertificate(NamedTuple):
 class ReductionArtifact(NamedTuple):
     """A reduced graph, its witness tree, the role of every vertex, and the
     set system it came from.  The correspondence needs a cover, which a
-    system with ``system.uncovered_elements()`` lacks."""
+    system whose sets miss some element lacks."""
 
     graph: BipartiteGraph
     certificate: TreeCertificate
@@ -301,7 +301,7 @@ def approx_set_cover(
     """Return a cover of size <= k when one exists (exhaustive search);
     otherwise reduce to the star-convex graph, run the supplied VED solver,
     and convert its output back into a cover."""
-    if ss.uncovered_elements():
+    if not ss.is_cover(range(1, ss.q + 1)):
         raise DomainError("the system has no cover: some element lies in no set")
     masks = [sum(1 << (e - 1) for e in s) for s in ss.sets]
     combo = _least_cover(masks, (1 << ss.universe) - 1, min(k, ss.q))

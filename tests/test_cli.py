@@ -1,3 +1,7 @@
+import argparse
+import ast
+import contextlib
+import io
 import json
 import os
 import random
@@ -10,7 +14,7 @@ import pytest
 import veds
 import veds.oracle
 from veds import counterexample_graph, format_graph_text, identity_permutation
-from veds.cli import build_parser, main
+from veds.cli import _plain_commands, _read_plain, build_parser, main
 
 COUNTEREXAMPLE = format_graph_text(counterexample_graph(), identity_permutation(3))
 
@@ -439,3 +443,151 @@ print(len(built), veds.cli._parser)
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0 None\n"
+
+
+# The CLI contract the plain read is checked against: each leaf command, its
+# number of positionals and its option strings, each with values to draw
+# (None for a flag).  The values include bad choices and bad numbers.
+INTS = ["0", "3", "12", "-2", "1.5", "x", "", " 7", "1_0", "\u0663", "1e3"]
+FLOATS = ["0.3", "1", "-0.5", "nan", "1e-1", "x", "", " .5", "inf"]
+LEAVES = {
+    ("solve",): (1, {
+        "--algorithm": ["exact", "baseline", "bruteforce", "fast", "EXACT", ""],
+        "--emit-set": None, "--trace": None, "--json": None,
+    }),
+    ("verify",): (1, {"--set": ["x1,y2", "y1", "", "x1 y2", "-x1"], "--json": None}),
+    ("order",): (1, {"--json": None}),
+    ("decompose",): (1, {"--json": None}),
+    ("reduce",): (1, {
+        "--target": ["star", "comb", "tree", ""], "--out": ["out.cbg", "", "a b"], "--certify": None,
+    }),
+    ("oracle", "ve"): (1, {"--json": None}),
+    ("oracle", "setcover"): (1, {"--json": None}),
+    ("gen", "convex"): (0, {
+        "--n1": INTS, "--n2": INTS, "--density": FLOATS, "--seed": INTS, "--connected": None,
+    }),
+    ("bench",): (0, {"--trials": INTS, "--max-n": INTS, "--seed": INTS, "--json": None}),
+}
+WORDS = sorted({w for words in LEAVES for w in words} | {"bogus"})
+OPTION_STRINGS = sorted({o for _, opts in LEAVES.values() for o in opts} | {"-h", "--help"})
+NOISE = ["--", "-", "-h", "--help", "-2", "-0.5", "", " ", "a b", "--frobnicate", "-x", "g.cbg"]
+
+
+def test_plain_table_has_every_leaf_command_and_option():
+    table = _plain_commands(build_parser())
+    assert set(table) == set(LEAVES)
+    for words, (depth, _, positionals, options, _) in table.items():
+        assert depth == len(words)
+        assert len(positionals) == LEAVES[words][0]
+        assert set(options) == set(LEAVES[words][1])
+
+
+def _noise(rng):
+    opt = rng.choice(OPTION_STRINGS)
+    pick = rng.randrange(5)
+    if pick == 0 and len(opt) > 3:
+        return opt[:rng.randrange(3, len(opt))]  # an abbreviation
+    if pick == 1:
+        return f"{opt}={rng.choice(INTS + ['star', 'baseline'])}"
+    if pick == 2:
+        return rng.choice(WORDS)
+    if pick == 3:
+        return opt
+    return rng.choice(NOISE)
+
+
+def _draw_argv(rng):
+    words = rng.choice(list(LEAVES))
+    positionals, options = LEAVES[words]
+    groups = [[f"g{k}.cbg"] for k in range(positionals)]
+    for opt, values in options.items():
+        for _ in range(rng.choice((0, 1, 1, 1, 1, 2))):
+            groups.append([opt] if values is None else [opt, rng.choice(values)])
+    rng.shuffle(groups)
+    argv = list(words) + [t for group in groups for t in group]
+    for _ in range(rng.choice((0, 0, 0, 1, 2, 3))):
+        k = rng.randrange(len(argv) + 1)
+        pick = rng.randrange(3)
+        if pick == 0 or k == len(argv):
+            argv.insert(k, _noise(rng))
+        elif pick == 1:
+            argv[k] = _noise(rng)
+        else:
+            del argv[k]
+    return argv
+
+
+def _fields(ns):
+    # repr tells 5 from 5.0 and lets nan equal nan.
+    return sorted((k, repr(v)) for k, v in vars(ns).items())
+
+
+def test_plain_read_is_parse_args_or_nothing():
+    # 20,000 argv drawn from every command word and option string, plus
+    # abbreviations, '=' forms, '--', help, negative numbers, bad choices,
+    # bad numbers, and empty and spaced tokens.  The plain read returns
+    # None or exactly the namespace a fresh parser returns; where the parser
+    # exits (help or a usage error) it must return None.
+    table = _plain_commands(build_parser())
+    parser = build_parser()
+    rng = random.Random(27)
+    plain = fallback = 0
+    sink = io.StringIO()
+    for _ in range(20000):
+        argv = _draw_argv(rng)
+        got = _read_plain(argv, table)
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                want = parser.parse_args(argv)
+        except SystemExit:
+            want = None
+        sink.seek(0)
+        sink.truncate()
+        if got is None:
+            fallback += 1
+            continue
+        plain += 1
+        assert want is not None and _fields(got) == _fields(want), argv
+    # Both paths carry real weight in the draw.
+    assert plain > 4000 and fallback > 4000, (plain, fallback)
+
+
+def _benchmark_argv_forms():
+    """Every argv literal in perfbench/workloads.py that starts with a veds
+    command word, read from its source; each ``str(...)`` element reads as
+    "2" and "{f}" stays the file placeholder."""
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    commands = {words[0] for words in LEAVES}
+    forms = []
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.List, ast.Tuple)) or not node.elts:
+            continue
+        argv = []
+        for e in node.elts:
+            if isinstance(e, ast.Constant) and isinstance(e.value, str):
+                argv.append(e.value)
+            elif isinstance(e, ast.Call) and getattr(e.func, "id", None) == "str":
+                argv.append("2")
+            else:
+                break
+        else:
+            if argv[0] in commands:
+                forms.append(argv)
+    return forms
+
+
+def test_every_benchmark_argv_form_skips_parse_args(cbg, scp, capsys, monkeypatch):
+    # The benchmark's requests are all plain, so none may reach argparse:
+    # were the plain read to go dead, this fails before any timing does.
+    forms = _benchmark_argv_forms()
+    assert len(forms) >= 8
+    assert {argv[0] for argv in forms} == {"solve", "decompose", "oracle", "reduce", "bench"}
+    reached = []
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, args=None, namespace=None: reached.append(args))
+    for argv in forms:
+        sets = argv[0] == "reduce" or argv[:2] == ["oracle", "setcover"]
+        argv = [(scp if sets else cbg) if a == "{f}" else a for a in argv]
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert reached == []

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,20 @@ def test_approx_cover_rejects_coverless():
     ss = system(3, {1})
     with pytest.raises(DomainError):
         approx_set_cover(ss, 2, brute_ved_solver)
+
+
+def test_approx_cover_refuses_a_huge_coverless_universe_in_little_memory():
+    # Whether a cover exists is a yes/no question about the sets' union; it
+    # needs no universe-sized set (94.5 MiB here when it built one).
+    ss = SetSystem(10**6, (frozenset({1}), frozenset({2})))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="some element lies in no set"):
+            approx_set_cover(ss, 2, brute_ved_solver)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def digest_systems():

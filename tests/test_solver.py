@@ -669,6 +669,34 @@ def test_gamma_of_disjoint_union_is_the_sum(first, second):
 
 
 @settings(max_examples=100, deadline=None)
+@given(interval_instances(), st.data())
+def test_gamma_unchanged_by_an_x_twin(case, data):
+    # A new X vertex with an existing one's neighbourhood: any VED-set of
+    # one graph gives one of the other (swap the twin for its original).
+    g, _, sigma = case
+    i = data.draw(st.integers(1, g.n1))
+    twin = build_graph(g.n1 + 1, g.n2, list(g.edges()) + [(g.n1 + 1, j) for j in g.adj_x[i - 1]])
+    r = solve_exact(twin, compute_lex_convex_ordering(twin, sigma))
+    assert r.gamma_ve == solve_exact(g, compute_lex_convex_ordering(g, sigma)).gamma_ve
+    assert is_ve_dominating_set(twin, r.witness)
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_instances(), st.data())
+def test_gamma_unchanged_by_a_y_twin_beside_its_original(case, data):
+    # A new Y vertex with y_j's neighbourhood, placed right after y_j in
+    # sigma, keeps every X interval contiguous and gamma_ve the same.
+    g, _, sigma = case
+    p = data.draw(st.integers(1, g.n2))
+    j = sigma[p - 1]
+    new = g.n2 + 1
+    twin = build_graph(g.n1, new, list(g.edges()) + [(i, new) for i in g.columns()[j - 1]])
+    r = solve_exact(twin, compute_lex_convex_ordering(twin, sigma[:p] + (new,) + sigma[p:]))
+    assert r.gamma_ve == solve_exact(g, compute_lex_convex_ordering(g, sigma)).gamma_ve
+    assert is_ve_dominating_set(twin, r.witness)
+
+
+@settings(max_examples=100, deadline=None)
 @given(interval_instances())
 def test_universal_x_vertex_gives_gamma_one(case):
     g, _, sigma = case
