@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import compress, islice
 from operator import lt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -136,7 +136,7 @@ def build_graph(n1: int, n2: int, edges: Iterable[tuple[int, int]]) -> Bipartite
     return _from_rows(n2, rows)
 
 
-def _from_rows(n2: int, rows: list[list[int]]) -> BipartiteGraph:
+def _from_rows(n2: int, rows: Sequence[Sequence[int]]) -> BipartiteGraph:
     """The graph whose x_i is adjacent to the Y-indices in ``rows[i - 1]``.
 
     Rows may hold duplicates in any order, but every index must lie in

@@ -18,17 +18,20 @@ bulk: a ``graph <n1> <n2>`` line, then ``edge <i> <j>`` lines with ``i``
 non-decreasing, then at most one ``yorder`` line, last; plain ASCII decimals
 with no sign and no leading zero, single spaces, ``\n`` line ends and no
 comments.  Whole-string operations check that shape over the whole file
-before anything is decoded, every line start included, then one
-``str.translate`` pass and one ``json.loads`` decode each slice of at most
-64 KiB of edge lines.  Every Y index goes through a ``list(range(n2 + 1))``
-table, so the graph holds one int object per Y index; the X column is only
-checked to be ascending and at most ``n1``.  Any other text, a malformed one
-included, goes through the line loop, which reads the lines once and words
-every error; only an empty or out-of-range index, or X out of order, is
-found after the bulk reader has decoded.  Both run in O(L + n1 + n2 + m)
-time for a file of L characters and m edges whose rows come ascending, plus
-one sort per X vertex whose row does not; the bulk reader needs
-O(64 KiB + n1 + n2 + m) memory besides the text.
+before anything is decoded, every line start and the ``yorder`` line
+included.  The same bulk pass then decodes the ``yorder`` line with one
+``json.loads`` and each slice of at most 64 KiB of edge lines with one
+``str.translate`` pass and one ``json.loads``.  Every Y index goes through
+a ``list(range(n2 + 1))`` table, so the graph holds one int object per Y
+index; the X column is only checked to be ascending and at most ``n1``,
+and the rows are cut from each slice's own X column.  Any other text, a
+malformed one included, goes through the line loop, which reads the lines
+once and words every error; only an empty or out-of-range index, X out of
+order or a ``yorder`` that is no permutation is found after the bulk reader
+has decoded.  Both run in O(L + n1 + n2 + m) time for a file of L
+characters and m edges whose rows come ascending, plus one sort per X
+vertex whose row does not; the bulk reader needs O(64 KiB + n1 + n2 + m)
+memory besides the text.
 
 A graph header may declare at most ``MAX_DECLARED`` vertices and a set system
 a universe of at most that size (``CapacityError``), so a short file cannot
@@ -95,22 +98,22 @@ def _read_canonical(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None] 
         return None
     n1, n2 = sizes
     last = text.rfind("\n", 0, -1) + 1  # where the last line starts
-    yorder = None
+    yline = None
     if last > end and text.startswith("yorder ", last):
-        values = _decimals(text[last:-1], "yorder ")
-        if values is None or sorted(values) != list(range(1, n2 + 1)):
+        # n2 digit runs joined by n2 - 1 single spaces, none of them empty.
+        yline = text[last + 7:-1]
+        if yline.translate(_DROP_DIGITS) != " " * (n2 - 1) or n2 and "  " in f" {yline} ":
             return None
-        yorder = tuple(values)
     else:
         last = len(text)
     # The whole edge block is checked before anything is decoded, so a text
     # that is valid but not canonical costs string scans only: slice by
     # slice, every line must start with 'edge ' (pos - 1 is always a
     # newline), deleting the digits must then leave 'edge  \n' per line, and
-    # no digit run may start with 0 (index 0 is out of range and 007 not
-    # canonical).  Each line is then 'edge ' digits ' ' digits; an empty
-    # digit run, always an error, is left to json to refuse.
-    if text.find(" 0", end, last) >= 0:
+    # no digit run, the yorder's included, may start with 0 (index 0 is out
+    # of range and 007 not canonical).  Each line is then 'edge ' digits ' '
+    # digits; an empty digit run, always an error, is left to json to refuse.
+    if text.find(" 0", end) >= 0:
         return None
     stops = []
     pos = end + 1
@@ -122,26 +125,45 @@ def _read_canonical(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None] 
             return None
         stops.append(stop)
         pos = stop
+    yorder = None
+    if yline is not None:
+        try:
+            yorder = tuple(json.loads("[" + yline.replace(" ", ",") + "]"))
+        except ValueError:  # a run too long for an int
+            return None
+        if sorted(yorder) != list(range(1, n2 + 1)):
+            return None
     ytab = list(range(n2 + 1))
-    xs: list[int] = []
-    ys: list[int] = []
+    rows: list[tuple[int, ...]] = []  # the rows of x_1 .. x_{len(rows)}
+    row: list[int] = []  # the row of x_{len(rows) + 1} so far
     pos = end + 1
     for stop in stops:
         try:
             # 'edge i j\n' becomes ',i,j': the list is 0 and then the pairs.
             nums = json.loads("[0" + text[pos:stop].translate(_TO_JSON) + "]")
-            xs += nums[1::2]
-            ys += map(ytab.__getitem__, nums[2::2])
+            ys = tuple(map(ytab.__getitem__, nums[2::2]))
         except (ValueError, IndexError):  # an empty or huge run, a big Y index
             return None
+        xs = nums[1::2]
+        # X >= 1 by the ' 0' scan; format_graph_text writes X ascending,
+        # across slices too, and the line loop reads the rest.
+        i = len(rows) + 1
+        if xs != sorted(xs) or xs[0] < i or xs[-1] > n1:
+            return None
+        # Only this slice's X column is held: x_i's row may have begun in
+        # the slice before, and that of xs[-1] may go on in the next one.
+        cuts = [bisect_left(xs, k) for k in range(i + 1, xs[-1] + 1)]
+        if cuts:
+            row += ys[:cuts[0]]
+            rows.append(tuple(row))
+            rows += [ys[a:b] for a, b in zip(cuts, islice(cuts, 1, None))]
+            row = list(ys[cuts[-1]:])
+        else:
+            row += ys
         pos = stop
-    # X >= 1 by the ' 0' scan; format_graph_text writes X ascending, and the
-    # line loop reads the rest.
-    if xs != sorted(xs) or xs and xs[-1] > n1:
-        return None
-    cuts = [bisect_left(xs, i) for i in range(1, n1 + 2)]
-    rows = [ys[a:b] for a, b in zip(cuts, islice(cuts, 1, None))]
-    del xs, ys
+    if n1:
+        rows.append(tuple(row))
+    rows += [()] * (n1 - len(rows))
     return _from_rows(n2, rows), yorder
 
 
@@ -215,11 +237,18 @@ def format_graph_text(g: BipartiteGraph, yorder: tuple[int, ...] | None = None) 
 
 
 def _read_text(path: str | Path) -> str:
+    """The file's text exactly as ``open(path, encoding="utf-8").read()``
+    reads it: UTF-8 with a byte order mark kept, and universal newlines
+    (``\r\n`` and a lone ``\r`` read as ``\n``).  The bytes are read in
+    one call without a text-mode file object."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_graph(path: str | Path) -> tuple[BipartiteGraph, tuple[int, ...] | None]:

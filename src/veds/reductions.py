@@ -78,12 +78,6 @@ class SetSystem(_SetSystemFields):
     def q(self) -> int:
         return len(self.sets)
 
-    def uncovered_elements(self) -> frozenset[int]:
-        hit: set[int] = set()
-        for s in self.sets:
-            hit |= s
-        return frozenset(range(1, self.universe + 1)) - hit
-
     def is_cover(self, indices: Iterable[int]) -> bool:
         chosen: set[int] = set()
         for k in indices:

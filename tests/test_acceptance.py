@@ -96,7 +96,7 @@ def _random_coverable_system(rng: random.Random) -> SetSystem:
             members = frozenset(e for e in range(1, p + 1) if rng.random() < 0.55)
             sets.append(members or frozenset({rng.randint(1, p)}))
         ss = SetSystem(p, tuple(sets))
-        if not ss.uncovered_elements():
+        if ss.is_cover(range(1, q + 1)):
             return ss
 
 

@@ -237,6 +237,23 @@ BULK_CASES = [
     (big_canonical_text(400, 30).replace("\nedge 399 ", "\nedge 401 "), False),
     (big_canonical_text(400, 30) + "yorder " + " ".join(map(str, range(1, 401))) + "\n",
      True),
+    # yorder lines: the bulk reader takes only n2 canonical decimals joined
+    # by single spaces, and only a permutation of 1..n2.
+    ("graph 2 3\nedge 1 2\nyorder 1 02 3\n", False),
+    ("graph 2 3\nedge 1 2\nyorder 1 2 0\n", False),
+    ("graph 2 3\nedge 1 2\nyorder 1  2 3\n", False),
+    ("graph 2 3\nedge 1 2\nyorder  1 2 3\n", False),
+    ("graph 2 3\nedge 1 2\nyorder 1 2 3 \n", False),
+    ("graph 2 3\nedge 1 2\nyorder 1 2 +3\n", False),
+    ("graph 2 3\nedge 1 2\nyorder 1 2 \uff13\n", False),
+    ("graph 2 3\nedge 1 2\nyorder 1 2 3 4\n", False),
+    ("graph 2 3\nedge 1 2\nyorder 1 2 2\n", False),
+    ("graph 2 3\nedge 1 2\nyorder 1 2 4\n", False),
+    ("graph 2 3\nedge 1 2\nyorder 3 1 2\n", True),
+    ("graph 1 1\nedge 1 1\nyorder 1\n", True),
+    ("graph 1 1\nedge 1 1\nyorder \n", False),
+    ("graph 1 1\nedge 1 1\nyorder 2\n", False),
+    ("graph 1 1\nyorder " + "1" * 5000 + "\n", False),  # too long for int()
 ]
 
 
@@ -262,6 +279,9 @@ LATE_FAULTS = [
     lambda t: t.replace("\nedge 399 399\n", "\ne3dge 99 399\n"),
     lambda t: t.replace("\nedge 399 399\n", "\n3edge 99 399\n"),
     lambda t: t.replace("\nedge 399 400\nedge 400 400\n", "\nedge 399 \n400edge 400 400\n"),
+    # A valid yorder is decoded only once every edge slice has passed.
+    lambda t: t.replace("\nedge 400 400\n", "\nedge 400 4\uff10\n")
+    + "yorder " + " ".join(map(str, range(1, 401))) + "\n",
 ]
 
 
@@ -296,8 +316,8 @@ def test_bulk_reader_agrees_on_digits_glued_into_edge():
 
 def test_bulk_reader_memory_and_shared_ints():
     # A canonical file with m ~ 1e5 and indices past the small-int cache:
-    # parse_graph_text peaks no higher than the line loop alone on the same
-    # text, and the graph holds one int object per index.
+    # parse_graph_text peaks at no more than half the line loop alone on the
+    # same text, and the graph holds one int object per index.
     text = big_canonical_text(1000, 100)
     assert len(text) > 10 * io._CHUNK
 
@@ -312,9 +332,50 @@ def test_bulk_reader_memory_and_shared_ints():
     bulk_peak, (g, _) = peak(parse_graph_text)
     loop_peak, (g2, _) = peak(io._read_lines)
     assert g == g2 and g.m > 95_000
-    assert bulk_peak <= loop_peak
+    assert bulk_peak <= loop_peak / 2
     ints = {id(v) for nb in g.adj_x for v in nb}
     assert len(ints) <= g.n2
+
+
+GRAPH_FILE = "graph 3 3\nedge 1 1\nedge 1 2\nedge 2 2\nedge 3 2\nedge 3 3\nyorder 1 2 3\n"
+SET_FILE = "universe 3\nset 1: 1 2\nset 2: 2 3\n"
+
+# name -> the bytes of a file made from a text in the format.
+RAW_FILES = {
+    "lf": lambda t: t.encode(),
+    "crlf": lambda t: t.replace("\n", "\r\n").encode(),
+    "lone-cr": lambda t: t.replace("\n", "\r").encode(),
+    "cr-crlf": lambda t: t.replace("\n", "\r\r\n").encode(),
+    "trailing-cr": lambda t: (t[:-1] + "\r").encode(),
+    "bom": lambda t: b"\xef\xbb\xbf" + t.encode(),
+    "empty": lambda t: b"",
+    "bad-utf8-early": lambda t: t.encode()[:12] + b"\xff" + t.encode()[12:],
+    "bad-utf8-late": lambda t: t.encode() + b"# pad\n" * 2000 + b"\xe2\x82\n",
+    "dir": None,
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("name", RAW_FILES)
+@pytest.mark.parametrize("load,parse,text", [
+    (io.load_graph, parse_graph_text, GRAPH_FILE),
+    (io.load_set_system, parse_set_system_text, SET_FILE),
+], ids=["graph", "set-system"])
+def test_load_reads_what_text_mode_reads(name, load, parse, text, tmp_path):
+    # The loaders read bytes, yet give the result or the error text that
+    # parsing a text-mode read of the same file gives.
+    path = tmp_path / "in.txt"
+    if name == "dir":
+        path.mkdir()
+    elif name != "missing":
+        path.write_bytes(RAW_FILES[name](text))
+    try:
+        with open(path, encoding="utf-8") as f:
+            expected = outcome(parse, f.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        expected = "InputError", f"cannot read {path}: {exc}"
+    assert outcome(load, path) == expected
+    assert outcome(load, str(path)) == expected
 
 
 EDGE_FORMS = ("edge {} {}", "\tedge\t{}\t{}", "  edge {}  {} # c", "edge {} {}\t")
