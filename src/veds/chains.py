@@ -69,9 +69,11 @@ class ChainDecomposition(NamedTuple):
         return self.parts()[0]
 
 
-def _one_run(entries: Sequence[Interval], n2: int) -> bool:
-    """True when the sorted intervals form one overlap-connected run spanning
-    Y positions 1 to n2: each starts by the farthest right end before it.
+def _one_run(entries: Sequence[Interval], n1: int, n2: int) -> bool:
+    """True when the convex graph on n1 + n2 vertices whose sorted intervals
+    are ``entries`` is connected: it has at most one vertex, or no X vertex
+    is isolated and the intervals form one overlap-connected run spanning Y
+    positions 1 to n2, each starting by the farthest right end before it.
     For convex graphs overlap is exactly connectivity."""
     hi = 1
     for left, right, _ in entries:
@@ -79,7 +81,7 @@ def _one_run(entries: Sequence[Interval], n2: int) -> bool:
             return False
         if right > hi:
             hi = right
-    return bool(entries) and hi == n2
+    return n1 + n2 <= 1 or (len(entries) == n1 and hi == n2)
 
 
 def _window(
@@ -153,9 +155,7 @@ def decompose(g: BipartiteGraph, ordering: LexConvexOrdering) -> ChainDecomposit
     chains ``_peels`` takes off its intervals."""
     ensure_valid_lex_ordering(g, ordering)
     entries = ordering.intervals
-    # Connected: at most one vertex, or no isolated X vertex and one run of
-    # intervals spanning every Y position.
-    if g.n > 1 and not (len(entries) == g.n1 and _one_run(entries, g.n2)):
+    if not _one_run(entries, g.n1, g.n2):
         raise ContractError("decompose requires a connected graph; split components first")
     part_x, part_y, label = [0] * g.n1, [0] * g.n2, -1
     # No edges: a connected graph this small is a single vertex, the tail.

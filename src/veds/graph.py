@@ -11,7 +11,8 @@ A graph is stored as its X rows only; ``columns`` derives the Y side.
 
 from __future__ import annotations
 
-from itertools import compress, islice
+from bisect import bisect_right
+from itertools import islice
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -103,23 +104,6 @@ class BipartiteGraph(NamedTuple):
         for j in range(1, self.n2 + 1):
             yield yref(j)
 
-    def check_refs(self, refs: Iterable[VertexRef]) -> None:
-        """Raise InputError if any reference falls outside this graph.
-
-        The error names the least offending reference, x side before y,
-        then by index, so it does not depend on the iteration order of refs.
-        """
-        sizes = {"x": self.n1, "y": self.n2}
-        bad = [v for v in refs if not 1 <= v.index <= sizes.get(v.side, 0)]
-        if not bad:
-            return
-        v = min(bad)
-        if v.side == "x":
-            raise InputError(f"vertex {v.name()} out of range (n1={self.n1})")
-        if v.side == "y":
-            raise InputError(f"vertex {v.name()} out of range (n2={self.n2})")
-        raise InputError(f"invalid vertex side {v.side!r}")
-
 
 def build_graph(n1: int, n2: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
     """Build a graph from (x-index, y-index) pairs; duplicates collapse.
@@ -150,32 +134,32 @@ def _from_rows(n2: int, rows: Sequence[Sequence[int]]) -> BipartiteGraph:
     return BipartiteGraph(n1=len(rows), n2=n2, adj_x=adj_x)
 
 
-def _coverage(g: BipartiteGraph, d: Iterable[VertexRef]) -> tuple[list[bool], list[bool]]:
-    """covered_x[i-1] is true when x_i or a neighbour of x_i lies in d, and
-    covered_y likewise; both are read off the X rows."""
-    in_x = [False] * g.n1
-    in_y = [False] * g.n2
-    for v in d:
-        if v.side == "x":
-            in_x[v.index - 1] = True
-        else:
-            in_y[v.index - 1] = True
-    covered_x = [in_x[i] or any(in_y[j - 1] for j in g.adj_x[i]) for i in range(g.n1)]
-    covered_y = in_y[:]
-    for nb in compress(g.adj_x, in_x):
-        for j in nb:
-            covered_y[j - 1] = True
-    return covered_x, covered_y
-
-
 def _undominated(g: BipartiteGraph, d: Iterable[VertexRef]) -> tuple[tuple[int, int] | None, int]:
     """(first, count): the smallest edge d leaves undominated, None when d is
-    a VED-set, and how many edges it leaves undominated."""
-    d = set(d)
-    g.check_refs(d)
-    covered_x, covered_y = _coverage(g, d)
-    missed = [(i, j) for i, (covered, nb) in enumerate(zip(covered_x, g.adj_x), start=1)
-              if not covered for j in nb if not covered_y[j - 1]]
+    a VED-set, and how many edges it leaves undominated, read off the X rows
+    with d as two index sets.  Raises InputError naming the least reference
+    of d outside the graph, x side before y, then by index, so the error
+    does not depend on the iteration order of d."""
+    xs: set[int] = set()
+    ys: set[int] = set()
+    bad = []
+    for v in d:
+        if v.side == "x" and 1 <= v.index <= g.n1:
+            xs.add(v.index)
+        elif v.side == "y" and 1 <= v.index <= g.n2:
+            ys.add(v.index)
+        else:
+            bad.append(v)
+    if bad:
+        v = min(bad)
+        if v.side == "x":
+            raise InputError(f"vertex {v.name()} out of range (n1={g.n1})")
+        if v.side == "y":
+            raise InputError(f"vertex {v.name()} out of range (n2={g.n2})")
+        raise InputError(f"invalid vertex side {v.side!r}")
+    hit = set().union(*[g.adj_x[i - 1] for i in xs])  # y_j with an X neighbour in d
+    missed = [(i, j) for i, row in enumerate(g.adj_x, start=1)
+              if i not in xs and ys.isdisjoint(row) for j in row if j not in hit]
     return (missed[0] if missed else None), len(missed)
 
 
@@ -198,35 +182,24 @@ def connected_components(g: BipartiteGraph) -> list[tuple[tuple[int, ...], tuple
     Isolated vertices appear as singleton components.  Order is deterministic:
     by smallest contained index, X-anchored components before Y-only ones.
     """
-    cols = g.columns()
-    seen_x = [False] * g.n1
-    seen_y = [False] * g.n2
+    n1 = g.n1
+    # x_i is vertex i and y_j is vertex n1 + j; vertex 0 is not used.
+    adj = [(), *([n1 + j for j in row] for row in g.adj_x), *g.columns()]
+    seen = [True] + [False] * g.n
     comps: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def sweep(start: VertexRef) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        xs: list[int] = []
-        ys: list[int] = []
-        stack = [start]
+    for start in range(1, g.n + 1):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, members = [start], []
         while stack:
             v = stack.pop()
-            if v.side == "x":
-                if seen_x[v.index - 1]:
-                    continue
-                seen_x[v.index - 1] = True
-                xs.append(v.index)
-                stack.extend(yref(j) for j in g.adj_x[v.index - 1])
-            else:
-                if seen_y[v.index - 1]:
-                    continue
-                seen_y[v.index - 1] = True
-                ys.append(v.index)
-                stack.extend(xref(i) for i in cols[v.index - 1])
-        return tuple(sorted(xs)), tuple(sorted(ys))
-
-    for i in range(1, g.n1 + 1):
-        if not seen_x[i - 1]:
-            comps.append(sweep(xref(i)))
-    for j in range(1, g.n2 + 1):
-        if not seen_y[j - 1]:
-            comps.append(sweep(yref(j)))
+            members.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        members.sort()
+        k = bisect_right(members, n1)
+        comps.append((tuple(members[:k]), tuple(v - n1 for v in members[k:])))
     return comps

@@ -16,10 +16,11 @@ Canonical output is sorted and round-trips bit-exactly.
 ``parse_graph_text`` reads text exactly as ``format_graph_text`` writes it in
 bulk: a ``graph <n1> <n2>`` line, then ``edge <i> <j>`` lines with ``i``
 non-decreasing, then at most one ``yorder`` line, last; plain ASCII decimals
-with no sign and no leading zero, single spaces, ``\n`` line ends and no
-comments.  Whole-string operations check that shape over the whole file
-before anything is decoded, every line start and the ``yorder`` line
-included.  The same bulk pass then decodes the ``yorder`` line with one
+with no sign and, past the header (read by ``int`` as the line loop reads
+it), no leading zero, single spaces, ``\n`` line ends and no comments.
+Whole-string operations check that shape over the whole file before
+anything is decoded, every line start and the ``yorder`` line included.
+The same bulk pass then decodes the ``yorder`` line with one
 ``json.loads`` and each slice of at most 64 KiB of edge lines with one
 ``str.translate`` pass and one ``json.loads``.  Every Y index goes through
 a ``list(range(n2 + 1))`` table, so the graph holds one int object per Y
@@ -76,27 +77,21 @@ def parse_graph_text(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]
     return _read_canonical(text) or _read_lines(text)
 
 
-def _decimals(line: str, keyword: str) -> list[int] | None:
-    """The integers after ``keyword`` when ``line`` is exactly ``keyword``
-    followed by their decimal forms joined by single spaces, else None."""
-    if not line.startswith(keyword):
-        return None
-    tail = line[len(keyword):]
-    try:
-        values = list(map(int, tail.split(" "))) if tail else []
-    except ValueError:
-        return None
-    return values if keyword + " ".join(map(str, values)) == line else None
-
-
 def _read_canonical(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None] | None:
     """The bulk reader: the parse of ``text`` when it is exactly in the shape
     ``format_graph_text`` writes and error-free, else None."""
     end = text.find("\n")
-    sizes = _decimals(text[:end], "graph ") if text.endswith("\n") else None
-    if sizes is None or len(sizes) != 2 or min(sizes) < 0 or sum(sizes) > MAX_DECLARED:
+    head = text[:end]
+    # 'graph ' and two digit runs, read by int as the line loop reads them.
+    if (not text.endswith("\n") or head[:6] != "graph "
+            or head.translate(_DROP_DIGITS) != "graph  "):
         return None
-    n1, n2 = sizes
+    try:
+        n1, n2 = map(int, head[6:].split(" "))
+    except ValueError:  # an empty or huge run
+        return None
+    if n1 + n2 > MAX_DECLARED:
+        return None
     last = text.rfind("\n", 0, -1) + 1  # where the last line starts
     yline = None
     if last > end and text.startswith("yorder ", last):

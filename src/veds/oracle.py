@@ -141,7 +141,7 @@ def gen_random_convex_bipartite(cfg: GeneratorConfig) -> BipartiteGraph:
             length = min(n2, _geometric(rng, mean))
             a = rng.randint(1, n2 - length + 1)
             spans.append((a, a + length - 1, i))
-        if cfg.require_connected and not _one_run(sorted(spans), n2):
+        if cfg.require_connected and not _one_run(sorted(spans), n1, n2):
             continue
         return _from_rows(n2, [list(range(a, b + 1)) for a, b, _ in spans])
     raise GenerationError(

@@ -109,23 +109,19 @@ class ReductionArtifact(NamedTuple):
     system: SetSystem
 
 
-def _require_family_fits(ss: SetSystem) -> None:
-    if ss.q > ss.universe:
-        raise ContractError(
-            f"reduction requires the family to be no larger than the universe "
-            f"(got {ss.q} sets over {ss.universe} elements)"
-        )
-    if ss.q < 1:
-        raise ContractError("reduction requires at least one set")
-
-
 def _gadget(
     ss: SetSystem, backbone: list[str], pendant: str, bridge: str, cert: TreeCertificate
 ) -> ReductionArtifact:
     """The reduced graph with the named backbone x_{p+1}..x_{n1-1}, pendant
     x_{n1} and bridge y_{n2}; the last backbone vertex is the hub."""
-    _require_family_fits(ss)
     p, q = ss.universe, ss.q
+    if q > p:
+        raise ContractError(
+            f"reduction requires the family to be no larger than the universe "
+            f"(got {q} sets over {p} elements)"
+        )
+    if q < 1:
+        raise ContractError("reduction requires at least one set")
     hub, y_bridge = p + len(backbone), q + p + 1
     edges = [(i, j) for j, members in enumerate(ss.sets, start=1) for i in members]
     edges += [(i, q + i) for i in range(1, p + 1)]

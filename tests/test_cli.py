@@ -189,6 +189,8 @@ def test_verify_bad_name_exits_2(cbg, capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", cbg, "--set", "x²")
     assert code == 2 and "invalid vertex name" in err
+    code, out, err = run(capsys, "verify", cbg, "--set", ",")
+    assert (code, out, err) == (2, "", "error: --set needs at least one vertex name\n")
 
 
 def test_order_text_and_json(cbg, capsys):
@@ -212,6 +214,14 @@ def test_decompose_output(cbg, capsys):
     payload = json.loads(out)
     assert payload["chains"] == [{"x": [1], "y": [1, 2]}, {"x": [3], "y": [3]}]
     assert payload["lemma_passed"] is True
+
+
+def test_decompose_single_vertex_is_the_tail(tmp_path, capsys):
+    path = tmp_path / "one.cbg"
+    path.write_text("graph 1 0\n")
+    code, out, err = run(capsys, "decompose", str(path))
+    assert (code, err) == (0, "")
+    assert out == "tail (flagged): {x1}\nlemma verification: all clauses passed\n"
 
 
 def test_reduce_writes_files(scp, tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from veds import (
     InputError,
+    VertexRef,
     build_graph,
     connected_components,
     first_undominated_edge,
@@ -62,6 +63,9 @@ def test_build_rejects_out_of_range():
         build_graph(2, 2, [(3, 1)])
     with pytest.raises(InputError, match=r"\(1, 0\)"):
         build_graph(2, 2, [(1, 0)])
+    with pytest.raises(InputError) as raised:
+        build_graph(-1, 2, [])
+    assert str(raised.value) == "side sizes must be nonnegative, got n1=-1, n2=2"
 
 
 def test_parse_vertex_name():
@@ -89,6 +93,22 @@ def test_verifier_p4():
 def test_verifier_rejects_bad_refs(counterexample):
     with pytest.raises(InputError):
         is_ve_dominating_set(counterexample, {xref(9)})
+
+
+@pytest.mark.parametrize("refs,message", [
+    ({VertexRef("z", 1)}, "invalid vertex side 'z'"),
+    ({VertexRef("z", 1), yref(4), yref(0)}, "vertex y0 out of range (n2=3)"),
+    ({yref(4), xref(0), xref(9)}, "vertex x0 out of range (n1=3)"),
+    ({VertexRef("A", 1), xref(2)}, "invalid vertex side 'A'"),
+])
+def test_verifier_names_the_least_bad_ref(counterexample, refs, message):
+    # The least offending reference as a (side, index) tuple, whatever the
+    # iteration order; first_undominated_edge raises the same.
+    for check in (is_ve_dominating_set, first_undominated_edge):
+        for order in (sorted(refs), sorted(refs, reverse=True)):
+            with pytest.raises(InputError) as raised:
+                check(counterexample, order)
+            assert str(raised.value) == message
 
 
 @settings(max_examples=120, deadline=None)
@@ -184,3 +204,34 @@ def test_components_cover_all_vertices():
         ys = sorted(j for c in comps for j in c[1])
         assert xs == list(range(1, g.n1 + 1))
         assert ys == list(range(1, g.n2 + 1))
+
+
+def union_find_components(g):
+    """The components of g by union-find over x_i = i and y_j = n1 + j, in
+    connected_components' order: X-anchored ones by least X index, then the
+    isolated Y vertices."""
+    parent = list(range(g.n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in g.edges():
+        parent[find(i)] = find(g.n1 + j)
+    groups = {}
+    for v in range(1, g.n + 1):
+        groups.setdefault(find(v), []).append(v)
+    return [(tuple(v for v in vs if v <= g.n1), tuple(v - g.n1 for v in vs if v > g.n1))
+            for vs in groups.values()]
+
+
+def test_components_match_union_find_on_nonconvex_graphs():
+    rng = random.Random(4242)
+    for _ in range(400):
+        n1, n2 = rng.randint(0, 12), rng.randint(0, 12)
+        p = rng.random() * 0.4
+        g = build_graph(n1, n2, [(i, j) for i in range(1, n1 + 1) for j in range(1, n2 + 1)
+                                 if rng.random() < p])
+        assert connected_components(g) == union_find_components(g)

@@ -254,6 +254,19 @@ BULK_CASES = [
     ("graph 1 1\nedge 1 1\nyorder \n", False),
     ("graph 1 1\nedge 1 1\nyorder 2\n", False),
     ("graph 1 1\nyorder " + "1" * 5000 + "\n", False),  # too long for int()
+    # The header's two digit runs are read by int, as the line loop reads
+    # them: leading zeros are taken in bulk, any other shape is not.
+    ("graph 007 3\nedge 1 2\nedge 7 3\n", True),
+    ("graph 2 03\nedge 1 2\nyorder 3 1 2\n", True),
+    ("graph 00 0\n", True),
+    ("graph +2 3\nedge 1 2\n", False),
+    ("graph 2  3\nedge 1 2\n", False),
+    ("graph \uff12 3\nedge 1 2\n", False),
+    ("graph 2 3 4\nedge 1 2\n", False),
+    ("graph 2\n", False),
+    ("graph  3\n", False),
+    ("gr2aph 3 4\n", False),  # the digits deleted, this reads 'graph  '
+    ("graph " + "1" * 5000 + " 3\n", False),  # too long for int()
 ]
 
 
@@ -446,6 +459,8 @@ def test_set_system_round_trip():
         pytest.param("universe 2\nset 1:\n", "line 2: set 1 is empty",
                      id="universe 2\nset 1:\n-empty"),
         pytest.param("universe 2\n", "set system declares no sets", id="universe 2\n-no sets"),
+        pytest.param("universe 3 4\n", "line 1: expected 'universe <p>'",
+                     id="universe 3 4\n-two sizes"),
         # A universe below 1 is refused at its own line, before any set.
         pytest.param("universe 0\nset 1: 1\n", "line 1: universe size must be at least 1, got 0",
                      id="universe 0\nset 1: 1\n-universe at least 1"),

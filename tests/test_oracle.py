@@ -14,6 +14,7 @@ from veds import (
     brute_force_min_cover,
     build_graph,
     connected_components,
+    counterexample_graph,
     cross_check,
     format_graph_text,
     gen_random_convex_bipartite,
@@ -23,7 +24,13 @@ from veds import (
     xref,
     yref,
 )
-from veds.oracle import GENERATION_RETRIES, _geometric, random_connected_instance
+from veds.oracle import (
+    GENERATION_RETRIES,
+    CrossCheckReport,
+    Disagreement,
+    _geometric,
+    random_connected_instance,
+)
 
 from conftest import naive_ve_dominates
 
@@ -415,6 +422,20 @@ def test_cross_check_deterministic_byte_for_byte():
     a = cross_check(15, 10, 9).to_text()
     b = cross_check(15, 10, 9).to_text()
     assert a == b
+
+
+def test_cross_check_report_prints_a_disagreement_instance():
+    # The instance lines are indented by two spaces; stripped, they parse
+    # back to the graph and yorder the trial was solved under.
+    g = counterexample_graph()
+    report = CrossCheckReport(2, 1, (Disagreement(1, format_graph_text(g, (3, 1, 2)), 1, 2),),
+                              0, 0, 0)
+    lines = report.to_text().splitlines()
+    assert lines[:7] == ["trials: 2", "agreements: 1", "disagreements: 1",
+                         "baseline strict gaps: 0", "baseline gap max: 0",
+                         "baseline gap total: 0", "trial 1: expected 1, got 2; instance:"]
+    assert all(line.startswith("  graph " if k == 0 else "  ") for k, line in enumerate(lines[7:]))
+    assert parse_graph_text("".join(line[2:] + "\n" for line in lines[7:])) == (g, (3, 1, 2))
 
 
 def test_cross_check_report_shapes():

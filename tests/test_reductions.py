@@ -63,6 +63,10 @@ def test_set_system_validation():
         system(2, {3})
     assert system(3, {1}, {2, 3}).is_cover([1, 2])
     assert not system(3, {1}).is_cover([1])
+    for bad in (0, 3):
+        with pytest.raises(InputError) as raised:
+            system(2, {1}, {2}).is_cover([1, bad])
+        assert str(raised.value) == f"set index {bad} out of range (q=2)"
 
 
 def test_star_reduction_shape_small():
@@ -115,6 +119,13 @@ def test_reductions_reject_large_families():
     with pytest.raises(ContractError):
         reduce_comb_convex(big)
     reduce_star_convex(ss)  # boundary q == p is fine
+
+
+def test_reductions_reject_an_empty_family():
+    for reduce in (reduce_star_convex, reduce_comb_convex):
+        with pytest.raises(ContractError) as raised:
+            reduce(SetSystem(1, ()))
+        assert str(raised.value) == "reduction requires at least one set"
 
 
 def test_size_formulas_hold():

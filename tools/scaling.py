@@ -110,9 +110,7 @@ def case(g: veds.BipartiteGraph, yorder: tuple[int, ...]) -> dict:
     del text
     ordering = timed(ms, spread, "ordering", veds.compute_lex_convex_ordering, g, yorder)
     result = timed(ms, spread, "solve_exact", veds.solve_exact, g, ordering)
-    # decompose's own connectivity rule: no isolated X vertex and one run of
-    # intervals spanning every Y position (every case has n > 1).
-    if len(ordering.intervals) == g.n1 and _one_run(ordering.intervals, g.n2):
+    if _one_run(ordering.intervals, g.n1, g.n2):  # decompose's connectivity rule
         decomp = timed(ms, spread, "decompose", veds.decompose, g, ordering)
         timed(ms, spread, "lemma", veds.verify_decomposition_lemma, g, decomp)
     else:  # the decomposition lemma is about one connected graph
