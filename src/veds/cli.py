@@ -36,6 +36,7 @@ from .graph import (
 from .io import (
     format_graph_text,
     load_graph,
+    load_ordered,
     load_set_system,
 )
 from .oracle import (
@@ -67,15 +68,15 @@ set-system file grammar:
 
 
 def _ordering_for(path: str) -> tuple[BipartiteGraph, LexConvexOrdering]:
-    g, yorder = load_graph(path)
-    if yorder is None:
+    g, ordering = load_ordered(path)
+    if ordering is None:
         found = find_convex_ordering_exhaustive(g)
         if found is None:
             raise InputError(
                 f"{path}: graph is not convex on Y; no ordering exists"
             )
-        yorder = found
-    return g, compute_lex_convex_ordering(g, yorder)
+        ordering = compute_lex_convex_ordering(g, found)
+    return g, ordering
 
 
 def _witness_names(refs) -> list[str]:

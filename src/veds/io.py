@@ -24,14 +24,16 @@ The same bulk pass then decodes the ``yorder`` line with one
 ``json.loads`` and each slice of at most 64 KiB of edge lines with one
 ``str.translate`` pass and one ``json.loads``.  Every Y index goes through
 a ``list(range(n2 + 1))`` table, so the graph holds one int object per Y
-index; the X column is only checked to be ascending and at most ``n1``,
-and the rows are cut from each slice's own X column.  Any other text, a
+index.  The rows, cut at each slice's X column (ascending, at most ``n1``),
+are checked strictly ascending in bulk: every Y that does not rise starts a
+row.  ``load_ordered`` cuts the same rows of Y positions under the yorder
+to derive the declared ``LexConvexOrdering``.  Any other text, a
 malformed one included, goes through the line loop, which reads the lines
 once and words every error; only an empty or out-of-range index, X out of
 order or a ``yorder`` that is no permutation is found after the bulk reader
 has decoded.  Both run in O(L + n1 + n2 + m) time for a file of L
-characters and m edges whose rows come ascending, plus one sort per X
-vertex whose row does not; the bulk reader needs O(64 KiB + n1 + n2 + m)
+characters and m edges whose rows come strictly ascending, plus one sort
+per X vertex whose row does not; the bulk reader needs O(64 KiB + n1 + n2 + m)
 memory besides the text.
 
 A graph header may declare at most ``MAX_DECLARED`` vertices and a set system
@@ -43,17 +45,20 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import islice
+from itertools import compress, count, islice, repeat
+from operator import ge, lt
 from pathlib import Path
 
 from .errors import CapacityError, InputError
 from .graph import BipartiteGraph, _from_rows
+from .ordering import LexConvexOrdering, _positions
 from .reductions import SetSystem
 
 __all__ = [
     "parse_graph_text",
     "format_graph_text",
     "load_graph",
+    "load_ordered",
     "parse_set_system_text",
     "format_set_system_text",
     "load_set_system",
@@ -74,12 +79,14 @@ def _ints(parts: list[str], lineno: int) -> list[int]:
 
 def parse_graph_text(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
     """Parse the graph format; returns the graph and the declared yorder, if any."""
-    return _read_canonical(text) or _read_lines(text)
+    read = _read_canonical(text)
+    return read[:2] if read else _read_lines(text)
 
 
-def _read_canonical(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None] | None:
-    """The bulk reader: the parse of ``text`` when it is exactly in the shape
-    ``format_graph_text`` writes and error-free, else None."""
+def _read_canonical(text: str, ordered: bool = False) -> tuple[
+        BipartiteGraph, tuple[int, ...] | None, LexConvexOrdering | None] | None:
+    """The bulk reader: graph, yorder and (if ``ordered`` and the rows ascend) the
+    ordering of ``text`` if exactly as ``format_graph_text`` writes it, error-free."""
     end = text.find("\n")
     head = text[:end]
     # 'graph ' and two digit runs, read by int as the line loop reads them.
@@ -120,17 +127,19 @@ def _read_canonical(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None] 
             return None
         stops.append(stop)
         pos = stop
-    yorder = None
+    yorder = ypos = None
     if yline is not None:
         try:
             yorder = tuple(json.loads("[" + yline.replace(" ", ",") + "]"))
-        except ValueError:  # a run too long for an int
-            return None
-        if sorted(yorder) != list(range(1, n2 + 1)):
+            ypos = _positions(yorder, n2)
+        except (ValueError, InputError):  # a run too long for an int, no permutation
             return None
     ytab = list(range(n2 + 1))
+    ptab = ypos if ordered else None  # None once the positions are not wanted
+    ascending = True
     rows: list[tuple[int, ...]] = []  # the rows of x_1 .. x_{len(rows)}
     row: list[int] = []  # the row of x_{len(rows) + 1} so far
+    prows, prow = [], []  # the same as Y positions under ptab
     pos = end + 1
     for stop in stops:
         try:
@@ -145,21 +154,38 @@ def _read_canonical(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None] 
         i = len(rows) + 1
         if xs != sorted(xs) or xs[0] < i or xs[-1] > n1:
             return None
-        # Only this slice's X column is held: x_i's row may have begun in
-        # the slice before, and that of xs[-1] may go on in the next one.
-        cuts = [bisect_left(xs, k) for k in range(i + 1, xs[-1] + 1)]
-        if cuts:
-            row += ys[:cuts[0]]
-            rows.append(tuple(row))
-            rows += [ys[a:b] for a, b in zip(cuts, islice(cuts, 1, None))]
-            row = list(ys[cuts[-1]:])
-        else:
-            row += ys
+        # Where the rows of x_{i + 1} .. x_{xs[-1]} start: where X rises, if
+        # by 1 each time, found by one pass over short rows, else by bisect.
+        rises = [] if len(xs) > 16 * (xs[-1] - xs[0]) else list(
+            compress(count(1), map(lt, xs, islice(xs, 1, None))))
+        cuts = ([0] * (xs[0] - i) + rises if len(rises) == xs[-1] - xs[0]
+                else list(map(bisect_left, repeat(xs), range(i + 1, xs[-1] + 1))))
+        # The rows are strictly ascending when every Y that does not rise
+        # starts a row (its index is a cut) and x_i's row does not go on.
+        if (row and xs[0] == i and ys[0] <= row[-1]
+                or not set(cuts).issuperset(compress(count(1), map(ge, ys, islice(ys, 1, None))))):
+            ascending, ptab = False, None
+        row = _cut(ys, cuts, rows, row)
+        if ptab is not None:
+            prow = _cut(tuple(map(ptab.__getitem__, ys)), cuts, prows, prow)
         pos = stop
     if n1:
         rows.append(tuple(row))
+        prows.append(tuple(prow))
     rows += [()] * (n1 - len(rows))
-    return _from_rows(n2, rows), yorder
+    g = BipartiteGraph(n1, n2, tuple(rows)) if ascending else _from_rows(n2, rows)
+    prows += [()] * (n1 - len(prows))
+    return g, yorder, None if ptab is None else LexConvexOrdering._derive(g, yorder, ypos, prows)
+
+
+def _cut(col: tuple[int, ...], cuts: list[int], rows: list, row: list[int]) -> list[int]:
+    """File the rows a slice's column ends, the open ``row`` first; return the new one."""
+    if not cuts:
+        row += col
+        return row
+    rows.append((*row, *col[:cuts[0]]))
+    rows += [col[a:b] for a, b in zip(cuts, islice(cuts, 1, None))]
+    return list(col[cuts[-1]:])
 
 
 def _read_lines(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
@@ -248,6 +274,14 @@ def _read_text(path: str | Path) -> str:
 
 def load_graph(path: str | Path) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
     return parse_graph_text(_read_text(path))
+
+
+def load_ordered(path: str | Path) -> tuple[BipartiteGraph, LexConvexOrdering | None]:
+    """The graph of a file and ``LexConvexOrdering(graph, yorder)`` for its
+    declared yorder (InputError on a gap), or None when it declares none."""
+    text = _read_text(path)
+    g, yorder, ordering = _read_canonical(text, ordered=True) or (*_read_lines(text), None)
+    return g, ordering or (None if yorder is None else LexConvexOrdering(g, yorder))
 
 
 def parse_set_system_text(text: str) -> SetSystem:

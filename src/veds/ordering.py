@@ -9,7 +9,8 @@ the combined structure is what the solver and decomposition consume.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from contextlib import suppress
+from itertools import accumulate, compress, count
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapacityError, ContractError, InputError
@@ -44,30 +45,29 @@ def identity_permutation(n: int) -> tuple[int, ...]:
 
 
 def _positions(yperm: Sequence[int], n: int) -> list[int]:
-    """``ypos[j]`` is the position of y_j under yperm (index 0 unused)."""
-    if len(yperm) != n or sorted(yperm) != list(range(1, n + 1)):
-        raise InputError(f"yperm is not a permutation of 1..{n}: {tuple(yperm)!r}")
+    """``ypos[j]`` is the position of y_j under yperm (index 0 unused); the
+    scatter checks it, as n entries in 1..n fill all n slots only if distinct."""
     ypos = [0] * (n + 1)
-    for p, j in enumerate(yperm, start=1):
-        ypos[j] = p
-    return ypos
+    with suppress(IndexError, TypeError):
+        if len(yperm) == n and (not n or min(yperm) >= 1):
+            for p, j in enumerate(yperm, start=1):
+                ypos[j] = p
+            if ypos.count(0) == 1:
+                return ypos
+    raise InputError(f"yperm is not a permutation of 1..{n}: {tuple(yperm)!r}")
 
 
-def _intervals(g: BipartiteGraph, ypos: list[int]) -> tuple[list[Interval], ConvexityCheck]:
-    """(left, right, x) for every non-isolated x in index order, stopping at
-    the first x whose neighbourhood leaves a gap under ypos."""
-    found: list[Interval] = []
-    for i, nb in enumerate(g.adj_x, start=1):
-        if not nb:
-            continue
-        ps = [ypos[j] for j in nb]
-        lo, hi = min(ps), max(ps)
-        if hi - lo + 1 != len(ps):
-            have = set(ps)
-            gap = next(p for p in range(lo, hi + 1) if p not in have)
-            return found, ConvexityCheck(False, i, gap)
-        found.append((lo, hi, i))
-    return found, ConvexityCheck(True, None, None)
+def _intervals(rows: Sequence[Sequence[int]]) -> tuple[list[Interval], ConvexityCheck]:
+    """Sorted (left, right, x) from ``rows[x - 1]``, the distinct positions of N(x), or the
+    first x with a gap: it holds fewer than right - left + 1, so one sum tells."""
+    held = list(filter(None, rows))
+    los = list(map(min, held))
+    his = list(map(max, held))
+    if sum(his) - sum(los) + len(held) == sum(map(len, held)):
+        return sorted(zip(los, his, compress(count(1), rows))), ConvexityCheck(True, None, None)
+    i, ps = next((i, ps) for i, ps in enumerate(rows, start=1)
+                 if ps and max(ps) - min(ps) + 1 != len(ps))
+    return [], ConvexityCheck(False, i, min(set(range(min(ps), max(ps) + 1)).difference(ps)))
 
 
 def validate_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> ConvexityCheck:
@@ -76,7 +76,8 @@ def validate_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> Convexi
     Reports the smallest violating x-index together with the first uncovered
     position inside its interval span.
     """
-    return _intervals(g, _positions(yperm, g.n2))[1]
+    ypos = _positions(yperm, g.n2)
+    return _intervals([[ypos[j] for j in nb] for nb in g.adj_x])[1]
 
 
 class _OrderingFields(NamedTuple):
@@ -90,11 +91,11 @@ class LexConvexOrdering(_OrderingFields):
     """A convex ordering of Y plus the lexicographic re-ordering of X, tied to
     the graph it was built from.
 
-    Only ``graph`` and ``yperm`` are inputs; ``intervals`` and ``ypos`` are
-    derived from them and cannot be supplied.  Every way of building one
-    checks convexity (InputError on a gap) and derives them in the same
-    pass: a direct call, ``_replace``, ``_make``, ``copy`` and ``pickle``
-    at every protocol.  The repr shows ``yperm`` only.
+    Only ``graph`` and ``yperm`` are inputs; ``__new__``, or the bulk reader
+    of ``io.load_ordered`` from its decoded columns, derives ``intervals``
+    and ``ypos`` through one derivation that checks convexity (InputError on
+    a gap).  ``_replace``, ``_make``, ``copy`` and ``pickle`` at every
+    protocol go through ``__new__``.  The repr shows ``yperm`` only.
 
     ``intervals`` lists ``(left, right, x)`` Y-position intervals of the
     non-isolated X vertices in lexicographic order; it is all the solvers
@@ -105,13 +106,17 @@ class LexConvexOrdering(_OrderingFields):
 
     def __new__(cls, graph: BipartiteGraph, yperm: Sequence[int]) -> LexConvexOrdering:
         ypos = _positions(yperm, graph.n2)
-        found, check = _intervals(graph, ypos)
+        return cls._derive(graph, yperm, ypos, [[ypos[j] for j in nb] for nb in graph.adj_x])
+
+    @classmethod
+    def _derive(cls, graph, yperm, ypos: list[int], rows) -> LexConvexOrdering:
+        """Given ``ypos = _positions(yperm, graph.n2)`` and each row's positions."""
+        found, check = _intervals(rows)
         if not check.ok:
             raise InputError(
                 f"yperm is not a convex ordering: N(x{check.violator}) has a gap "
                 f"at position {check.gap_position}"
             )
-        found.sort()
         return super().__new__(cls, graph, tuple(yperm), tuple(found), tuple(ypos))
 
     def __repr__(self) -> str:

@@ -8,6 +8,7 @@ from veds import (
     CapacityError,
     GeneratorConfig,
     InputError,
+    LexConvexOrdering,
     SetSystem,
     VedsError,
     build_graph,
@@ -348,6 +349,129 @@ def test_bulk_reader_memory_and_shared_ints():
     assert bulk_peak <= loop_peak / 2
     ints = {id(v) for nb in g.adj_x for v in nb}
     assert len(ints) <= g.n2
+
+
+def load_then_order(path):
+    """load_graph followed by LexConvexOrdering(g, yorder): what load_ordered
+    must return, or the error it must raise."""
+    g, yorder = io.load_graph(path)
+    return g, None if yorder is None else LexConvexOrdering(g, yorder)
+
+
+def assert_ordered_read_agrees(text, tmp_path):
+    """load_ordered gives the same graph and ordering as load_then_order, or
+    the same error; returns whether the bulk reader built the ordering."""
+    path = tmp_path / "g.cbg"
+    path.write_bytes(text.encode())
+    got, want = outcome(io.load_ordered, path), outcome(load_then_order, path)
+    assert got == want, repr(text)
+    if isinstance(got[1], LexConvexOrdering):
+        ordering = got[1]
+        assert type(ordering) is LexConvexOrdering
+        for field in ("graph", "yperm", "intervals", "ypos"):
+            assert getattr(ordering, field) == getattr(want[1], field), field
+    try:
+        read = io._read_canonical(text, ordered=True)
+    except InputError:
+        return False
+    return read is not None and read[2] is not None
+
+
+def test_load_ordered_agrees_on_random_and_mutated_files(tmp_path):
+    # Y-relabelled canonical files, half with a yorder, some mutated by the
+    # fuzz edits: moved and repeated lines put rows out of order or repeat
+    # edges, and the other edits make the text non-canonical or malformed.
+    rng = random.Random(3001)
+    built = 0
+    for text in canonical_texts(rng, 1500):
+        if rng.random() < 0.4:
+            text = mutate(text, rng)
+        built += assert_ordered_read_agrees(text, tmp_path)
+    assert built >= 400
+
+
+# (text, whether the bulk reader builds the ordering in its own pass).
+ORDERED_CASES = [
+    ("graph 3 3\nedge 1 1\nedge 1 2\nedge 2 2\nedge 3 2\nedge 3 3\nyorder 1 2 3\n", True),
+    # Row 1 reads y2, y1, y2: out of order and a repeated edge, so the
+    # bulk reader sorts that row and the ordering is built from the graph.
+    ("graph 3 3\nedge 1 2\nedge 1 1\nedge 1 2\nedge 2 2\nedge 3 2\nedge 3 3\nyorder 1 2 3\n",
+     False),
+    ("graph 2 3\nedge 1 2\nedge 1 1\nedge 2 3\nyorder 1 2 3\n", False),
+    # Isolated X vertices first, between and last.
+    ("graph 5 3\nedge 2 1\nedge 2 2\nedge 4 3\nyorder 3 1 2\n", True),
+    ("graph 0 3\nyorder 3 1 2\n", True),
+    ("graph 2 0\nyorder \n", True),
+    ("graph 0 0\nyorder \n", True),
+    ("graph 2 3\nedge 1 2\n", False),  # no yorder
+    ("graph 3 3\nedge 1 1\nedge 1 2\nedge 2 2\nedge 3 2\nedge 3 3\n", False),
+    # Not canonical: the line loop reads it.
+    ("# c\ngraph 3 3\nedge 1 1\nedge 1 2\nedge 2 2\nedge 3 2\nedge 3 3\nyorder 1 2 3\n", False),
+    ("graph 3 3\nedge 1 1\nedge 1  2\nedge 2 2\nyorder 3 2 1\n", False),
+    # Malformed: the line loop words the error.
+    ("graph 3 3\nedge 1 4\nyorder 1 2 3\n", False),
+    ("graph 3 3\nedge 1 1\nyorder 1 2 2\n", False),
+    # Not convex under the yorder: the same gap error on every path.
+    ("graph 3 3\nedge 1 1\nedge 1 2\nedge 2 2\nedge 2 3\nedge 3 1\nedge 3 3\nyorder 1 2 3\n",
+     False),
+    ("graph 3 3\nedge 1 1\nedge 1 3\nyorder 1 2 3\n", False),
+    ("graph 3 3\nedge 1 3\nedge 1 1\nyorder 1 2 3\n", False),
+    ("# c\ngraph 3 3\nedge 1 1\nedge 1 3\nyorder 1 2 3\n", False),
+]
+
+
+@pytest.mark.parametrize("text,built", ORDERED_CASES,
+                         ids=[f"case{k}" for k in range(len(ORDERED_CASES))])
+def test_load_ordered_cases(text, built, tmp_path):
+    assert assert_ordered_read_agrees(text, tmp_path) == built
+
+
+def test_load_ordered_raises_the_gap_error_of_the_ordering(tmp_path):
+    path = tmp_path / "gap.cbg"
+    path.write_text("graph 3 3\nedge 1 1\nedge 1 3\nedge 2 2\nyorder 1 2 3\n")
+    with pytest.raises(InputError) as raised:
+        io.load_ordered(path)
+    assert str(raised.value) == "yperm is not a convex ordering: N(x1) has a gap at position 2"
+
+
+def straddling_text(rng: random.Random) -> tuple[str, int]:
+    """A Y-relabelled canonical text over 64 KiB whose first slice ends
+    inside a row, and the index of the first line of the second slice."""
+    g, sigma = relabel_y(parse_graph_text(big_canonical_text(400, 30))[0], rng)
+    text = format_graph_text(g, sigma)
+    start = text.find("\n") + 1
+    stop = text.rfind("\n", start, start + io._CHUNK) + 1
+    lines = text.splitlines(keepends=True)
+    at = text.count("\n", 0, stop)
+    assert lines[at - 1].split()[1] == lines[at].split()[1]  # one row on both sides
+    return text, at
+
+
+def test_load_ordered_agrees_across_the_slice_boundary(tmp_path):
+    rng = random.Random(64)
+    text, at = straddling_text(rng)
+    assert len(text) > 2 * io._CHUNK
+    assert assert_ordered_read_agrees(text, tmp_path)
+    # The two edges on either side of the boundary swapped: each slice is
+    # ascending on its own, and only the junction shows the row out of
+    # order.  Then the same two edges on the first side, a repeat.
+    lines = text.splitlines(keepends=True)
+    for first, second in ((lines[at], lines[at - 1]), (lines[at - 1], lines[at - 1])):
+        edited = "".join(lines[:at - 1] + [first, second] + lines[at + 1:])
+        assert io._read_canonical(edited) is not None
+        assert not assert_ordered_read_agrees(edited, tmp_path)
+    # A gap in the straddling row: the yorder with two of its Y swapped.
+    row = [int(line.split()[2]) for line in lines[at - 1:at + 1]]
+    sigma = [int(v) for v in lines[-1].split()[1:]]
+    a, b = sigma.index(row[0]), next(k for k, j in enumerate(sigma) if j not in row
+                                     and abs(k - sigma.index(row[0])) > 40)
+    sigma[a], sigma[b] = sigma[b], sigma[a]
+    edited = "".join(lines[:-1]) + "yorder " + " ".join(map(str, sigma)) + "\n"
+    path = tmp_path / "g.cbg"
+    path.write_text(edited)
+    with pytest.raises(InputError, match="is not a convex ordering"):
+        io.load_ordered(path)
+    assert not assert_ordered_read_agrees(edited, tmp_path)
 
 
 GRAPH_FILE = "graph 3 3\nedge 1 1\nedge 1 2\nedge 2 2\nedge 3 2\nedge 3 3\nyorder 1 2 3\n"

@@ -152,6 +152,49 @@ def test_interval_consistency_and_totality(tmp_path, capsys):
             assert payload["right_y"][p] == max(ps, default=None)
 
 
+def test_constructor_and_validator_share_the_gap_verdict():
+    # Random yperms, mostly not convex: the ordering raises exactly when the
+    # validator reports a gap, for the smallest x whose positions leave one
+    # and the first position missing between its least and greatest.
+    rng = random.Random(31)
+    gaps = 0
+    for _ in range(400):
+        g, _ = random_convex_instance(rng, max_side=8)
+        yperm = list(range(1, g.n2 + 1))
+        rng.shuffle(yperm)
+        ypos = {j: p for p, j in enumerate(yperm, start=1)}
+        expected = None
+        for i, nb in enumerate(g.adj_x, start=1):
+            ps = sorted(ypos[j] for j in nb)
+            missing = [p for p in range(ps[0], ps[-1] + 1) if p not in ps] if ps else []
+            if missing:
+                expected = (i, missing[0])
+                break
+        check = validate_convex_ordering(g, yperm)
+        assert (check.violator, check.gap_position) == (expected or (None, None))
+        assert check.ok == (expected is None)
+        if expected is None:
+            assert compute_lex_convex_ordering(g, yperm).yperm == tuple(yperm)
+            continue
+        gaps += 1
+        with pytest.raises(InputError) as raised:
+            compute_lex_convex_ordering(g, yperm)
+        assert str(raised.value) == (f"yperm is not a convex ordering: N(x{expected[0]}) "
+                                     f"has a gap at position {expected[1]}")
+    assert gaps >= 100
+
+
+@pytest.mark.parametrize("yperm", [
+    (1.0, 2.0, 3.0), ("1", "2", "3"), (0, 1, 2), (-1, 1, 2), (1, 2, 4), (1, 2, 10**30),
+    (1, 2), (1, 2, 3, 4), (3, 3, 1), (1, 2, None),
+], ids=repr)
+def test_yperm_that_is_no_permutation_is_an_input_error(counterexample, yperm):
+    for build in (compute_lex_convex_ordering, validate_convex_ordering):
+        with pytest.raises(InputError) as raised:
+            build(counterexample, yperm)
+        assert str(raised.value) == f"yperm is not a permutation of 1..3: {yperm!r}"
+
+
 def test_permutations_are_bijections(tmp_path, capsys):
     rng = random.Random(17)
     for _ in range(60):

@@ -32,8 +32,8 @@ def test_scaling_writes_rows_slopes_and_provenance(tmp_path):
     for key in ("python", "platform", "revision", "dirty", "gc", "budget_s", "layers"):
         assert key in report
     assert report["repeats"] == 3
-    layers = ["parse_bulk", "parse_lines", "ordering", "solve_exact", "decompose", "lemma",
-              "baseline"]
+    layers = ["parse_bulk", "parse_lines", "ordering", "read_ordered", "solve_exact",
+              "decompose", "lemma", "baseline"]
     assert report["layers"] == layers
     assert list(report["families"]) == ["path", "chain", "short", "dense", "tiles"]
     for family in report["families"].values():

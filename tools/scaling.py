@@ -16,14 +16,15 @@ largest size: n1 = 102400 for paths, chains and short intervals (n = 2e5,
 Every case times each layer ``REPEATS`` times, in process, with the
 garbage collector on and a full collection before each run:
 ``parse_graph_text`` on the ``format_graph_text`` output (the bulk
-reader), the line loop alone on the same text, the ordering,
-``solve_exact``, ``decompose``, ``verify_decomposition_lemma`` and the
-baseline; ``decompose`` and the lemma check take connected graphs only and
-read null on the others.  A row keeps each layer's median in ``ms`` and
-its least and greatest run in ``spread_ms``, with n, m, gamma_ve and the
-solver's state count, and each family gets a least-squares log-log slope
-per layer of the medians against n + m over its three largest sizes (null
-with fewer than two).
+reader), the line loop alone on the same text, the ordering, the bulk
+reader's ordered read of the same text (graph and ordering in one pass, as
+``io.load_ordered`` reads a file), ``solve_exact``, ``decompose``,
+``verify_decomposition_lemma`` and the baseline; ``decompose`` and the
+lemma check take connected graphs only and read null on the others.  A
+row keeps each layer's median in ``ms`` and its least and greatest run in
+``spread_ms``, with n, m, gamma_ve and the solver's state count, and each
+family gets a least-squares log-log slope per layer of the medians against
+n + m over its three largest sizes (null with fewer than two).
 
     python tools/scaling.py --budget 10 --out BENCH_scaling.json
 
@@ -58,8 +59,8 @@ from workloads import chain_graph, path_graph, relabel_y  # noqa: E402
 
 SEED = 1
 REPEATS = 3  # timed runs per layer and case
-LAYERS = ("parse_bulk", "parse_lines", "ordering", "solve_exact", "decompose",
-          "lemma", "baseline")
+LAYERS = ("parse_bulk", "parse_lines", "ordering", "read_ordered", "solve_exact",
+          "decompose", "lemma", "baseline")
 
 
 def short_graph(n1: int, rng: random.Random) -> veds.BipartiteGraph:
@@ -107,8 +108,10 @@ def case(g: veds.BipartiteGraph, yorder: tuple[int, ...]) -> dict:
     parsed = timed(ms, spread, "parse_bulk", veds.parse_graph_text, text)
     if timed(ms, spread, "parse_lines", _read_lines, text) != parsed:
         raise SystemExit("the bulk reader and the line loop disagree")
-    del text
     ordering = timed(ms, spread, "ordering", veds.compute_lex_convex_ordering, g, yorder)
+    if timed(ms, spread, "read_ordered", _read_canonical, text, True) != (g, yorder, ordering):
+        raise SystemExit("the ordered read and the ordering disagree")
+    del text
     result = timed(ms, spread, "solve_exact", veds.solve_exact, g, ordering)
     if _one_run(ordering.intervals, g.n1, g.n2):  # decompose's connectivity rule
         decomp = timed(ms, spread, "decompose", veds.decompose, g, ordering)
