@@ -26,8 +26,9 @@ The same bulk pass then decodes the ``yorder`` line with one
 a ``list(range(n2 + 1))`` table, so the graph holds one int object per Y
 index.  The rows, cut at each slice's X column (ascending, at most ``n1``),
 are checked strictly ascending in bulk: every Y that does not rise starts a
-row.  ``load_ordered`` cuts the same rows of Y positions under the yorder
-to derive the declared ``LexConvexOrdering``.  Any other text, a
+row.  ``load_ordered`` cuts the slice's Y positions under the yorder into
+the same rows and derives their intervals as ``LexConvexOrdering`` does; a
+row out of order or with a gap leaves the ordering to it.  Any other text, a
 malformed one included, goes through the line loop, which reads the lines
 once and words every error; only an empty or out-of-range index, X out of
 order or a ``yorder`` that is no permutation is found after the bulk reader
@@ -45,13 +46,13 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import compress, count, islice, repeat
-from operator import ge, lt
+from itertools import islice, repeat
+from operator import ge
 from pathlib import Path
 
 from .errors import CapacityError, InputError
 from .graph import BipartiteGraph, _from_rows
-from .ordering import LexConvexOrdering, _positions
+from .ordering import Interval, LexConvexOrdering, _positions, _spans
 from .reductions import SetSystem
 
 __all__ = [
@@ -79,14 +80,13 @@ def _ints(parts: list[str], lineno: int) -> list[int]:
 
 def parse_graph_text(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
     """Parse the graph format; returns the graph and the declared yorder, if any."""
-    read = _read_canonical(text)
-    return read[:2] if read else _read_lines(text)
+    return (_read_canonical(text) or _read_lines(text))[:2]
 
 
 def _read_canonical(text: str, ordered: bool = False) -> tuple[
         BipartiteGraph, tuple[int, ...] | None, LexConvexOrdering | None] | None:
-    """The bulk reader: graph, yorder and (if ``ordered`` and the rows ascend) the
-    ordering of ``text`` if exactly as ``format_graph_text`` writes it, error-free."""
+    """The bulk reader: graph, yorder and (if ``ordered``, no row falls and none has a
+    gap) ordering of ``text`` if exactly as ``format_graph_text`` writes it, error-free."""
     end = text.find("\n")
     head = text[:end]
     # 'graph ' and two digit runs, read by int as the line loop reads them.
@@ -127,7 +127,7 @@ def _read_canonical(text: str, ordered: bool = False) -> tuple[
             return None
         stops.append(stop)
         pos = stop
-    yorder = ypos = None
+    yorder = None
     if yline is not None:
         try:
             yorder = tuple(json.loads("[" + yline.replace(" ", ",") + "]"))
@@ -135,11 +135,12 @@ def _read_canonical(text: str, ordered: bool = False) -> tuple[
         except (ValueError, InputError):  # a run too long for an int, no permutation
             return None
     ytab = list(range(n2 + 1))
-    ptab = ypos if ordered else None  # None once the positions are not wanted
     ascending = True
+    # The intervals of the rows so far, while wanted and no row falls or has a gap.
+    found: list[Interval] | None = [] if ordered and yorder is not None else None
     rows: list[tuple[int, ...]] = []  # the rows of x_1 .. x_{len(rows)}
     row: list[int] = []  # the row of x_{len(rows) + 1} so far
-    prows, prow = [], []  # the same as Y positions under ptab
+    prow: list[int] = []  # the same as Y positions under ypos
     pos = end + 1
     for stop in stops:
         try:
@@ -154,31 +155,29 @@ def _read_canonical(text: str, ordered: bool = False) -> tuple[
         i = len(rows) + 1
         if xs != sorted(xs) or xs[0] < i or xs[-1] > n1:
             return None
-        # Where the rows of x_{i + 1} .. x_{xs[-1]} start: where X rises, if
-        # by 1 each time, found by one pass over short rows, else by bisect.
-        rises = [] if len(xs) > 16 * (xs[-1] - xs[0]) else list(
-            compress(count(1), map(lt, xs, islice(xs, 1, None))))
-        cuts = ([0] * (xs[0] - i) + rises if len(rises) == xs[-1] - xs[0]
-                else list(map(bisect_left, repeat(xs), range(i + 1, xs[-1] + 1))))
-        # The rows are strictly ascending when every Y that does not rise
-        # starts a row (its index is a cut) and x_i's row does not go on.
-        if (row and xs[0] == i and ys[0] <= row[-1]
-                or not set(cuts).issuperset(compress(count(1), map(ge, ys, islice(ys, 1, None))))):
-            ascending, ptab = False, None
+        # Only this slice's X column is held: x_i's row may have begun in
+        # the slice before, and that of xs[-1] goes on in the next one, if any.
+        cuts = list(map(bisect_left, repeat(xs), range(i + 1, xs[-1] + 1 + (stop == last))))
+        # The rows ascend strictly when every Y that does not rise (from the
+        # open row, for ys[0]) starts a row: its index is a cut.
+        falls = [bool(row) and ys[0] <= row[-1], *map(ge, ys, ys[1:]), False]
+        for c in cuts:
+            falls[c] = False
+        if True in falls:
+            ascending = found = None
         row = _cut(ys, cuts, rows, row)
-        if ptab is not None:
-            prow = _cut(tuple(map(ptab.__getitem__, ys)), cuts, prows, prow)
+        if found is not None:
+            prows: list[list[int]] = []  # the rows of x_i .. x_{len(rows)}
+            prow = _cut([ypos[j] for j in ys], cuts, prows, prow)
+            if not _spans(prows, i, found):
+                found = None  # the gap is LexConvexOrdering's to report
         pos = stop
-    if n1:
-        rows.append(tuple(row))
-        prows.append(tuple(prow))
     rows += [()] * (n1 - len(rows))
     g = BipartiteGraph(n1, n2, tuple(rows)) if ascending else _from_rows(n2, rows)
-    prows += [()] * (n1 - len(prows))
-    return g, yorder, None if ptab is None else LexConvexOrdering._derive(g, yorder, ypos, prows)
+    return g, yorder, None if found is None else LexConvexOrdering._of(g, yorder, ypos, found)
 
 
-def _cut(col: tuple[int, ...], cuts: list[int], rows: list, row: list[int]) -> list[int]:
+def _cut(col: tuple | list, cuts: list[int], rows: list, row: list[int]) -> list[int]:
     """File the rows a slice's column ends, the open ``row`` first; return the new one."""
     if not cuts:
         row += col

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_Y_LIMIT = 10
+_BLOCK = 256  # rows whose Y positions _intervals holds at once
 
 Interval = tuple[int, int, int]  # (left position, right position, x-index)
 
@@ -57,17 +58,28 @@ def _positions(yperm: Sequence[int], n: int) -> list[int]:
     raise InputError(f"yperm is not a permutation of 1..{n}: {tuple(yperm)!r}")
 
 
-def _intervals(rows: Sequence[Sequence[int]]) -> tuple[list[Interval], ConvexityCheck]:
-    """Sorted (left, right, x) from ``rows[x - 1]``, the distinct positions of N(x), or the
-    first x with a gap: it holds fewer than right - left + 1, so one sum tells."""
+def _spans(rows: Sequence[Sequence[int]], x: int, found: list[Interval]) -> bool:
+    """Append (left, right, x + k) to found for each non-empty ``rows[k]``, the distinct Y
+    positions of N(x + k); True if none has a gap (fewer than right - left + 1 of them)."""
     held = list(filter(None, rows))
     los = list(map(min, held))
     his = list(map(max, held))
-    if sum(his) - sum(los) + len(held) == sum(map(len, held)):
-        return sorted(zip(los, his, compress(count(1), rows))), ConvexityCheck(True, None, None)
-    i, ps = next((i, ps) for i, ps in enumerate(rows, start=1)
-                 if ps and max(ps) - min(ps) + 1 != len(ps))
-    return [], ConvexityCheck(False, i, min(set(range(min(ps), max(ps) + 1)).difference(ps)))
+    found += zip(los, his, compress(count(x), rows))
+    return sum(his) - sum(los) + len(held) == sum(map(len, held))
+
+
+def _intervals(g: BipartiteGraph, ypos: list[int]) -> tuple[list[Interval], ConvexityCheck]:
+    """(left, right, x) for every non-isolated x in index order, a block of
+    rows at a time, stopping at the first x whose N(x) has a gap under ypos."""
+    found: list[Interval] = []
+    for x in range(0, g.n1, _BLOCK):
+        rows = [[ypos[j] for j in nb] for nb in g.adj_x[x:x + _BLOCK]]
+        if not _spans(rows, x + 1, found):
+            i, ps = next((i, ps) for i, ps in enumerate(rows, start=x + 1)
+                         if ps and max(ps) - min(ps) + 1 != len(ps))
+            gap = min(set(range(min(ps), max(ps) + 1)).difference(ps))
+            return found, ConvexityCheck(False, i, gap)
+    return found, ConvexityCheck(True, None, None)
 
 
 def validate_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> ConvexityCheck:
@@ -76,8 +88,7 @@ def validate_convex_ordering(g: BipartiteGraph, yperm: Sequence[int]) -> Convexi
     Reports the smallest violating x-index together with the first uncovered
     position inside its interval span.
     """
-    ypos = _positions(yperm, g.n2)
-    return _intervals([[ypos[j] for j in nb] for nb in g.adj_x])[1]
+    return _intervals(g, _positions(yperm, g.n2))[1]
 
 
 class _OrderingFields(NamedTuple):
@@ -91,11 +102,12 @@ class LexConvexOrdering(_OrderingFields):
     """A convex ordering of Y plus the lexicographic re-ordering of X, tied to
     the graph it was built from.
 
-    Only ``graph`` and ``yperm`` are inputs; ``__new__``, or the bulk reader
-    of ``io.load_ordered`` from its decoded columns, derives ``intervals``
-    and ``ypos`` through one derivation that checks convexity (InputError on
-    a gap).  ``_replace``, ``_make``, ``copy`` and ``pickle`` at every
-    protocol go through ``__new__``.  The repr shows ``yperm`` only.
+    Only ``graph`` and ``yperm`` are inputs.  ``__new__``, a block of rows at
+    a time, or the bulk reader of ``io.load_ordered``, slice by slice, derives
+    ``intervals`` through one derivation that checks convexity (InputError on
+    a gap, which the reader leaves to ``__new__``).  ``_replace``, ``_make``,
+    ``copy`` and ``pickle`` at every protocol go through ``__new__``.  The
+    repr shows ``yperm`` only.
 
     ``intervals`` lists ``(left, right, x)`` Y-position intervals of the
     non-isolated X vertices in lexicographic order; it is all the solvers
@@ -106,17 +118,18 @@ class LexConvexOrdering(_OrderingFields):
 
     def __new__(cls, graph: BipartiteGraph, yperm: Sequence[int]) -> LexConvexOrdering:
         ypos = _positions(yperm, graph.n2)
-        return cls._derive(graph, yperm, ypos, [[ypos[j] for j in nb] for nb in graph.adj_x])
-
-    @classmethod
-    def _derive(cls, graph, yperm, ypos: list[int], rows) -> LexConvexOrdering:
-        """Given ``ypos = _positions(yperm, graph.n2)`` and each row's positions."""
-        found, check = _intervals(rows)
+        found, check = _intervals(graph, ypos)
         if not check.ok:
             raise InputError(
                 f"yperm is not a convex ordering: N(x{check.violator}) has a gap "
                 f"at position {check.gap_position}"
             )
+        return cls._of(graph, yperm, ypos, found)
+
+    @classmethod
+    def _of(cls, graph, yperm, ypos: list[int], found: list[Interval]) -> LexConvexOrdering:
+        """Given ``ypos = _positions(yperm, n2)`` and ``_spans`` of all rows, no gap."""
+        found.sort()
         return super().__new__(cls, graph, tuple(yperm), tuple(found), tuple(ypos))
 
     def __repr__(self) -> str:

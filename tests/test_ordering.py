@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -17,6 +19,7 @@ from veds import (
     validate_convex_ordering,
 )
 from veds.cli import main
+from veds import ordering as ordering_module
 from veds.ordering import ensure_valid_lex_ordering
 
 from conftest import random_convex_instance, relabel_y
@@ -183,6 +186,52 @@ def test_constructor_and_validator_share_the_gap_verdict():
                                      f"has a gap at position {expected[1]}")
     assert gaps >= 100
 
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_derivation_does_not_depend_on_the_row_block(block, monkeypatch):
+    # The constructor and the validator derive a block of rows at a time;
+    # with blocks of a few rows, a gap is found in a later block and the
+    # intervals of many blocks are joined, with the same outcome.
+    rng = random.Random(block)
+    cases = []
+    for _ in range(150):
+        g, _ = random_convex_instance(rng, max_side=12)
+        yperm = list(range(1, g.n2 + 1))
+        if rng.random() < 0.5:
+            rng.shuffle(yperm)
+        cases.append((g, yperm))
+
+    def outcome(g, yperm):
+        try:
+            ordering = compute_lex_convex_ordering(g, yperm)
+        except InputError as exc:
+            return str(exc), validate_convex_ordering(g, yperm)
+        return ordering.intervals, ordering.ypos, validate_convex_ordering(g, yperm)
+
+    want = [outcome(g, yperm) for g, yperm in cases]
+    monkeypatch.setattr(ordering_module, "_BLOCK", block)
+    assert [outcome(g, yperm) for g, yperm in cases] == want
+    assert sum(isinstance(w[0], str) for w in want) >= 30
+
+
+def test_constructor_holds_one_block_of_positions():
+    # A Y-relabelled path with 20000 X rows: the constructor holds the Y
+    # positions of one block of rows at a time, so its tracemalloc peak
+    # stays within 24 bytes a vertex of what the ordering keeps (about 8
+    # here); holding every row's positions at once took about 60.
+    n1 = 20000
+    edges = [(i, i - 1) for i in range(2, n1 + 1)] + [(i, i) for i in range(1, n1 + 1)]
+    g, yperm = relabel_y(build_graph(n1, n1, edges), random.Random(5))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ordering = compute_lex_convex_ordering(g, yperm)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ordering.intervals) == n1
+    assert peak - kept <= 24 * (g.n1 + g.n2)
 
 @pytest.mark.parametrize("yperm", [
     (1.0, 2.0, 3.0), ("1", "2", "3"), (0, 1, 2), (-1, 1, 2), (1, 2, 4), (1, 2, 10**30),
