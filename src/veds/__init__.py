@@ -51,7 +51,6 @@ from .ordering import (
     LexConvexOrdering,
     compute_lex_convex_ordering,
     find_convex_ordering_exhaustive,
-    identity_permutation,
     validate_convex_ordering,
 )
 from .reductions import (

@@ -50,7 +50,6 @@ from .ordering import (
     LexConvexOrdering,
     compute_lex_convex_ordering,
     find_convex_ordering_exhaustive,
-    identity_permutation,
 )
 from .reductions import reduce_comb_convex, reduce_star_convex
 from .solver import solve_baseline, solve_exact
@@ -109,10 +108,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if result.stats is not None:
             payload["stats"] = result.stats._asdict()
         if args.trace:
-            payload["trace"] = [
-                {"subproblem": list(s.subproblem), "branch": s.branch, "chosen": s.chosen}
-                for s in result.trace
-            ]
+            payload["trace"] = [s._asdict() for s in result.trace]
         print(json.dumps(payload))
     else:
         print(f"gamma_ve = {result.gamma_ve}")
@@ -286,7 +282,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         seed=args.seed,
         require_connected=args.connected,
     ))
-    print(format_graph_text(g, yorder=identity_permutation(g.n2)), end="")
+    print(format_graph_text(g, yorder=tuple(range(1, g.n2 + 1))), end="")
     return 0
 
 
@@ -364,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="cross-check exact solver against brute force")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=int, required=True, help="largest n1 + n2, at most 22")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_bench)

@@ -23,7 +23,6 @@ __all__ = [
     "compute_lex_convex_ordering",
     "find_convex_ordering_exhaustive",
     "ensure_valid_lex_ordering",
-    "identity_permutation",
 ]
 
 EXHAUSTIVE_Y_LIMIT = 10
@@ -39,10 +38,6 @@ class ConvexityCheck(NamedTuple):
     ok: bool
     violator: int | None
     gap_position: int | None
-
-
-def identity_permutation(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
 
 
 def _positions(yperm: Sequence[int], n: int) -> list[int]:

@@ -11,7 +11,6 @@ from veds import (
     compute_lex_convex_ordering,
     counterexample_graph,
     gen_random_convex_bipartite,
-    identity_permutation,
     xref,
     yref,
 )
@@ -21,7 +20,7 @@ from veds.ordering import ensure_valid_lex_ordering
 
 def ordered(g):
     """Lex ordering of g under the identity Y ordering."""
-    return compute_lex_convex_ordering(g, identity_permutation(g.n2))
+    return compute_lex_convex_ordering(g, tuple(range(1, g.n2 + 1)))
 
 
 def complete(n1, n2):
@@ -162,7 +161,7 @@ def random_convex_instance(rng: random.Random, max_side: int = 6, connected: boo
             g = gen_random_convex_bipartite(cfg)
         except Exception:
             continue
-        return g, compute_lex_convex_ordering(g, identity_permutation(g.n2))
+        return g, compute_lex_convex_ordering(g, tuple(range(1, g.n2 + 1)))
 
 
 def _runs(intervals):

@@ -5,7 +5,9 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
+import time
 import sys
 from pathlib import Path
 
@@ -13,12 +15,19 @@ import pytest
 
 import veds
 import veds.oracle
-from veds import counterexample_graph, format_graph_text, identity_permutation
+from veds import counterexample_graph, format_graph_text
 from veds.cli import _plain_commands, _read_plain, build_parser, main
 
-COUNTEREXAMPLE = format_graph_text(counterexample_graph(), identity_permutation(3))
+COUNTEREXAMPLE = format_graph_text(counterexample_graph(), (1, 2, 3))
 
 SCP = "universe 3\nset 1: 1 2\nset 2: 2 3\nset 3: 3\n"
+
+# Two components, the second with a nested split.
+SPLIT = (
+    "graph 8 8\nedge 1 4\nedge 2 1\nedge 3 7\nedge 4 2\nedge 4 7\nedge 5 2\n"
+    "edge 5 5\nedge 5 6\nedge 6 4\nedge 7 1\nedge 7 3\nedge 7 4\nedge 7 5\n"
+    "edge 7 6\nedge 8 8\nyorder 8 7 2 5 6 4 1 3\n"
+)
 
 
 @pytest.fixture
@@ -71,11 +80,7 @@ def test_text_and_json_traces_list_the_same_steps_in_order(tmp_path, capsys):
     # order the sweep creates the states (in increasing start, across the
     # components), and the text lines and the JSON list agree.
     path = tmp_path / "split.cbg"
-    path.write_text(
-        "graph 8 8\nedge 1 4\nedge 2 1\nedge 3 7\nedge 4 2\nedge 4 7\nedge 5 2\n"
-        "edge 5 5\nedge 5 6\nedge 6 4\nedge 7 1\nedge 7 3\nedge 7 4\nedge 7 5\n"
-        "edge 7 6\nedge 8 8\nyorder 8 7 2 5 6 4 1 3\n"
-    )
+    path.write_text(SPLIT)
     code, text, _ = run(capsys, "solve", str(path), "--trace")
     assert code == 0
     assert text.splitlines() == [
@@ -95,6 +100,38 @@ def test_text_and_json_traces_list_the_same_steps_in_order(tmp_path, capsys):
         + (f" choosing {s['chosen']}" if s["chosen"] else "")
         for s in json.loads(out)["trace"]
     ]
+
+
+def _masked(out):
+    """``out`` with the one run-dependent value, ``elapsed_ms``, set to 0."""
+    return re.sub(r'"elapsed_ms": [^,}]+', '"elapsed_ms": 0', out)
+
+
+def test_json_trace_bytes_are_pinned(cbg, tmp_path, capsys):
+    # Each step is TraceStep's fields in order, its subproblem pair a list.
+    path = tmp_path / "split.cbg"
+    path.write_text(SPLIT)
+    code, out, err = run(capsys, "solve", cbg, "--json", "--trace")
+    assert (code, err) == (0, "")
+    assert _masked(out) == (
+        '{"gamma_ve": 1, "witness": ["y2"], "algorithm": "exact", "elapsed_ms": 0, '
+        '"stats": {"states": 2, "requests": 3, "x_pivot": 1, "y_blanket": 1}, "trace": ['
+        '{"subproblem": ["x1", "y1"], "branch": "y_blanket", "chosen": "y2"}, '
+        '{"subproblem": ["x3", "y3"], "branch": "x_pivot", "chosen": "x3"}]}\n'
+    )
+    code, out, err = run(capsys, "solve", str(path), "--json", "--trace")
+    assert (code, err) == (0, "")
+    assert _masked(out) == (
+        '{"gamma_ve": 3, "witness": ["x4", "x7", "x8"], "algorithm": "exact", "elapsed_ms": 0, '
+        '"stats": {"states": 7, "requests": 12, "x_pivot": 7, "y_blanket": 0}, "trace": ['
+        '{"subproblem": ["x8", "y8"], "branch": "x_pivot", "chosen": "x8"}, '
+        '{"subproblem": ["x3", "y7"], "branch": "x_pivot", "chosen": "x4"}, '
+        '{"subproblem": ["x5", "y2"], "branch": "x_pivot", "chosen": "x5"}, '
+        '{"subproblem": ["x5", "y5"], "branch": "x_pivot", "chosen": "x7"}, '
+        '{"subproblem": ["x1", "y4"], "branch": "x_pivot", "chosen": "x7"}, '
+        '{"subproblem": ["x1", "y4"], "branch": "x_pivot", "chosen": "x6"}, '
+        '{"subproblem": ["x2", "y1"], "branch": "x_pivot", "chosen": "x2"}]}\n'
+    )
 
 
 def test_solve_missing_file_exits_2(capsys):
@@ -224,6 +261,60 @@ def test_decompose_single_vertex_is_the_tail(tmp_path, capsys):
     assert out == "tail (flagged): {x1}\nlemma verification: all clauses passed\n"
 
 
+def test_order_text_tables(cbg, capsys):
+    code, out, err = run(capsys, "order", cbg)
+    assert (code, err) == (0, "")
+    assert out == (
+        "xperm: x1 x2 x3\n"
+        "yperm: y1 y2 y3\n"
+        " pos      x  left  right\n"
+        "   1     x1     1      2\n"
+        "   2     x2     2      2\n"
+        "   3     x3     2      3\n"
+        " pos      y  left  right\n"
+        "   1     y1     1      1\n"
+        "   2     y2     1      3\n"
+        "   3     y3     3      3\n"
+    )
+
+
+def test_solve_trace_text(cbg, capsys):
+    assert run(capsys, "solve", cbg, "--trace") == (0, (
+        "gamma_ve = 1\n"
+        "trace: at (x1, y1) took y_blanket choosing y2\n"
+        "trace: at (x3, y3) took x_pivot choosing x3\n"
+    ), "")
+
+
+def test_decompose_refuses_two_pieces(tmp_path, capsys):
+    # y3 lies between the pieces and x2 is isolated.
+    path = tmp_path / "gap.cbg"
+    path.write_text("graph 3 4\nedge 1 1\nedge 1 2\nedge 3 4\n")
+    assert run(capsys, "decompose", str(path)) == (
+        1, "", "error: decompose requires a connected graph; split components first\n"
+    )
+
+
+def test_oracle_setcover_with_an_uncovered_element(tmp_path, capsys):
+    path = tmp_path / "coverless.scp"
+    path.write_text("universe 3\nset 1: 1\nset 2: 2\n")
+    assert run(capsys, "oracle", "setcover", str(path)) == (0, "cover = none\n", "")
+
+
+def test_edgeless_graph_has_the_empty_witness(tmp_path, capsys):
+    path = tmp_path / "edgeless.cbg"
+    path.write_text("graph 2 2\n")
+    expected = (0, "gamma_ve = 0\nwitness = {}\n", "")
+    assert run(capsys, "solve", str(path), "--algorithm", "bruteforce", "--emit-set") == expected
+    assert run(capsys, "oracle", "ve", str(path)) == expected
+
+
+def test_verify_counts_the_one_undominated_edge(cbg, capsys):
+    assert run(capsys, "verify", cbg, "--set", "x1") == (
+        1, "INVALID: edge x3 y3 is not dominated (1 of 5 edges undominated)\n", ""
+    )
+
+
 def test_reduce_writes_files(scp, tmp_path, capsys):
     out_path = tmp_path / "reduced.cbg"
     code, out, _ = run(
@@ -329,7 +420,7 @@ def test_solve_takes_a_split_heavy_tiled_graph_in_a_fresh_process(tmp_path, monk
 
     g = tiled_graph(2)
     path = tmp_path / "tiles2.cbg"
-    path.write_text(format_graph_text(g, identity_permutation(g.n2)))
+    path.write_text(format_graph_text(g, tuple(range(1, g.n2 + 1))))
     done = fresh_process(["solve", str(path)], timeout=20)
     assert (done.returncode, done.stdout, done.stderr) == (0, "gamma_ve = 41\n", "")
 
@@ -355,6 +446,22 @@ def test_bench_rejects_size_cap_below_two(capsys):
     ):
         code, _, err = run(capsys, "bench", "--trials", trials, "--max-n", cap, "--seed", "0")
         assert code == 2 and why in err
+
+
+def test_bench_refuses_a_size_cap_above_brute_force_at_once(capsys):
+    # Brute force's time grows about 15x per doubling of the size cap, so
+    # a cap above its own must be refused before any trial.
+    for cap in ("23", "2000"):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "bench", "--trials", "8", "--max-n", cap, "--seed", "3")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"error: size cap must be at most 22 vertices, brute force's cap (got {cap})\n"
+    code, out, err = run(capsys, "bench", "--trials", "8", "--max-n", "22", "--seed", "3")
+    assert (code, err) == (0, "") and out.startswith("trials: 8\nagreements: 8\n")
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (max_n,) = [a for a in sub.choices["bench"]._actions if a.dest == "max_n"]
+    assert max_n.help.endswith(f"at most {veds.oracle.BRUTE_FORCE_VERTEX_LIMIT}")
 
 
 def test_argparse_rejects_unknown_flags(cbg):

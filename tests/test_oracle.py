@@ -376,6 +376,7 @@ def test_bench_stream_is_pinned(seed, monkeypatch):
 def test_cross_check_empty():
     rep = cross_check(0, 10, 1)
     assert rep.trials == 0 and rep.agreements == 0 and not rep.disagreements
+    assert rep.strict_gap_trials == rep.gap_total == rep.gap_max == 0
 
 
 def test_cross_check_small_run_agrees():

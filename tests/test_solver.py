@@ -23,7 +23,6 @@ from veds import (
     connected_components,
     counterexample_graph,
     decompose,
-    identity_permutation,
     is_ve_dominating_set,
     solve_baseline,
     solve_exact,
@@ -485,11 +484,11 @@ def test_deep_path_leaves_the_recursion_limit_alone():
     # P_1200 in a fresh interpreter, whose recursion limit is the default.
     script = (
         "import sys\n"
-        "from veds import build_graph, compute_lex_convex_ordering, identity_permutation, solve_exact\n"
+        "from veds import build_graph, compute_lex_convex_ordering, solve_exact\n"
         "n = 600\n"
         "edges = [(i, i) for i in range(1, n + 1)] + [(i + 1, i) for i in range(1, n)]\n"
         "g = build_graph(n, n, edges)\n"
-        "r = solve_exact(g, compute_lex_convex_ordering(g, identity_permutation(n)))\n"
+        "r = solve_exact(g, compute_lex_convex_ordering(g, tuple(range(1, n + 1))))\n"
         "print(r.gamma_ve, sys.getrecursionlimit())\n"
     )
     src = str(Path(veds.__file__).resolve().parent.parent)
@@ -511,10 +510,10 @@ def test_split_heavy_tiled_graphs_solve_in_polynomial_states():
         "import json, sys\n"
         f"sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / 'tools')!r})\n"
         "from hostile import tiled_graph\n"
-        "from veds import compute_lex_convex_ordering, identity_permutation, solve_exact\n"
+        "from veds import compute_lex_convex_ordering, solve_exact\n"
         "for k in (0, 1, 64):\n"
         "    g = tiled_graph(k)\n"
-        "    r = solve_exact(g, compute_lex_convex_ordering(g, identity_permutation(g.n2)))\n"
+        "    r = solve_exact(g, compute_lex_convex_ordering(g, tuple(range(1, g.n2 + 1))))\n"
         "    print(json.dumps([g.n1, g.n2, g.m, r.gamma_ve, r.stats.states]))\n"
     )
     src = str(Path(veds.__file__).resolve().parent.parent)
@@ -614,7 +613,7 @@ def test_sparse_trace_length_is_linear(monkeypatch):
     cases = [(path_graph(2 * n), 2 * n) for n in (100, 200, 400, 800)]
     cases += [(chain_graph(n1, rng), None) for n1 in (110, 220, 440, 880)]
     for base, k in cases:
-        for g, sigma in ((base, identity_permutation(base.n2)), relabel_y(base, relabel_rng)):
+        for g, sigma in ((base, tuple(range(1, base.n2 + 1))), relabel_y(base, relabel_rng)):
             ordv = compute_lex_convex_ordering(g, sigma)
             read[0] = 0
             r = solve_exact(g, ordv)
