@@ -8,8 +8,9 @@ neighbourhood of its farthest-reaching neighbour; remove them; collect the
 X vertices stranded (isolated) by the removal; repeat.  When the remainder is
 itself a chain graph it is emitted whole as the final chain.  Each peel is
 one ``x_pivot`` step of the exact solver, read off ``ordering.intervals``
-through the same ``_window``, by ``_peels``; the chain-pivot baseline reads
-its pivots from the same walk.  A decomposition labels each vertex with its
+by ``_peels`` with the solver's skip loop (a bisect, not the solver's
+table, finds each window's end); the chain-pivot baseline reads its pivots
+from the same walk.  A decomposition labels each vertex with its
 part and keeps no pivots: ``solve_baseline`` is the one place they live.
 
 ``verify_decomposition_lemma`` checks a decomposition against the graph
@@ -84,22 +85,6 @@ def _one_run(entries: Sequence[Interval], n1: int, n2: int) -> bool:
     return n1 + n2 <= 1 or (len(entries) == n1 and hi == n2)
 
 
-def _window(
-    entries: Sequence[Interval], lefts: list[int], lo: int, start: int
-) -> tuple[int, int]:
-    """(f, b): ``entries[lo:b]`` is the window a state at start reads, b
-    being the first interval starting after start, and ``entries[f]`` is the
-    first interval of the window containing start (f = b when none does).
-    ``entries`` are sorted intervals and ``lefts`` their left ends.  With lo
-    the first interval starting after some floor < start, the front is every
-    interval with floor < left <= start <= right, in ``entries`` order."""
-    b = bisect_right(lefts, start, lo)
-    f = lo
-    while f < b and entries[f][1] < start:
-        f += 1
-    return f, b
-
-
 def _nested(entries: list[Interval]) -> bool:
     """True when the intervals form a chain under containment."""
     seq = sorted(entries, key=lambda e: (e[0], -e[1]))
@@ -125,9 +110,13 @@ def _peels(
     while True:
         # Every interval containing `start` starts after the previous start:
         # one containing both would have been in the previous front, whose
-        # farthest reach is start - 1.  So the window drops none of this
-        # chain's front.
-        f, b = _window(entries, lefts, lo, start)
+        # farthest reach is start - 1.  So the window entries[lo:b], b the
+        # first interval starting after start, drops none of this chain's
+        # front, and entries[f] is its first interval holding start.
+        b = bisect_right(lefts, start, lo)
+        f = lo
+        while f < b and entries[f][1] < start:
+            f += 1
         if f == b:
             if b == len(entries):
                 return

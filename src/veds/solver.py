@@ -7,14 +7,13 @@ dominates, or commit a Y vertex that additionally covers every stranded X
 vertex of the first peel (a Y blanket) and continue past its reach; the
 smaller branch wins, the pivot on a tie.
 
-The sweep reads the sorted ``ordering.intervals`` through
-``chains._window``; its x_pivot walk alone is ``chains._peels``, which
-``decompose`` and the baseline share.  A request (start, lo) asks for a
-state: its front is the intervals of the window ``entries[lo:b]`` that
-contain start, b being the first interval starting after start.  The state
-is every interval of ``entries[f:]`` whose right end is at least start, f
-being the front's first interval, so requests whose fronts agree share one
-state.
+The sweep reads the sorted ``ordering.intervals`` through one table,
+``after[p]``: the first interval starting after position p.  Its x_pivot
+walk alone is ``chains._peels``, which ``decompose`` and the baseline share.
+A request (start, lo) asks for a state: its front is the intervals of the
+window ``entries[lo:after[start]]`` that contain start.  The state is every
+interval of ``entries[f:]`` whose right end is at least start, f being the
+front's first interval, so requests whose fronts agree share one state.
 
 The branch looks only at the state's first overlap run C, the one holding
 start.  The rest R lies right of C's last position, so both children keep
@@ -30,7 +29,8 @@ increasing start and records each new state's pivot, blanket and child
 requests, a backward sweep fills in the counts, and the witness follows the
 chosen branches from the root.  A state is named by its start and its first
 front interval, which holds that start: at most m states and 2 states + 1
-requests, each resolved in O(n1), so O(m n1) in all.
+requests, each resolved in O(n1), after the table's O(n1 + n2) build: so
+O(n2 + m n1) in all.
 
 The baseline solver takes the pivot of each chain that ``chains._peels``
 peels off the ordering's intervals.  It always yields a valid VED-set but is
@@ -40,12 +40,11 @@ returns two vertices while the optimum is one.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
-from .chains import _peels, _window
+from .chains import _peels
 from .errors import ContractError
 from .graph import BipartiteGraph, VertexRef, build_graph, xref, yref
 from .ordering import LexConvexOrdering, ensure_valid_lex_ordering
@@ -114,42 +113,52 @@ def solve_exact(
         return f"y{yperm[position - 1]}"
 
     entries = ordering.intervals
-    lefts = [e[0] for e in entries]
     n = len(entries)
-    # sufmin[i]: the least right end in entries[i:], n2 + 1 past the end.
+    # sufmin[i]: the least right end in entries[i:], n2 + 1 past the end;
+    # after[p]: the first interval starting after position p, p <= n2 + 1.
     sufmin = list(accumulate((e[1] for e in reversed(entries)), min, initial=g.n2 + 1))[::-1]
+    after = [0] * (g.n2 + 2)
+    for e in entries:
+        after[e[0]] += 1
+    after = list(accumulate(after))
     # req[r]: the index request r's window begins at until the sweep
     # resolves it, then its state.  Request 0 and state 0 are the empty
     # remainder, request 1 the root.  rows[s] = (pivot, blanket, x_pivot
     # child request, y_blanket child request or -1); labels[s - 1] is state
-    # s's trace label.  filed[start]: the requests at start, each filed
-    # ahead of the loop, since children start after their parent.
-    req, rows, labels = [0, 0], [(0, 0, 0, -1)], []
-    filed: list[list[int]] = [[] for _ in range(g.n2 + 2)]
-    filed[lefts[0]].append(1)
+    # s's trace label; states and requests count rows and req.  filed[start]:
+    # the requests at start, filed ahead of the loop (children start after
+    # their parent) and dropped once read.
+    req, rows, labels, states, requests = [0, 0], [(0, 0, 0, -1)], [], 1, 2
+    filed: list[list[int] | None] = [[] for _ in range(g.n2 + 2)]
+    filed[entries[0][0]].append(1)
     for start, rids in enumerate(filed):
         if not rids:
             continue
+        filed[start] = None
         # seen[lo]: the state of the requests whose window begins at lo;
-        # seen[f]: the state whose front begins at f (len(rows) when new, 0
-        # at n).  A window begun at f has the front of f, so the two never
+        # seen[f]: the state whose front begins at f (states when new, 0 at
+        # n).  A window begun at f has the front of f, so the two never
         # disagree, and a window asked for again is not read again.
         seen = {n: 0}
         for rid in rids:
             lo = req[rid]
             sid = seen.get(lo)
             if sid is None:
-                f, b = _window(entries, lefts, lo, start)
+                # Intervals before lo start by a floor < start: b is after[start].
+                b, f = after[start], lo
+                while f < b and entries[f][1] < start:
+                    f += 1
                 if f == b < n:
                     # No interval holds start: its run has ended, and what
-                    # is left is entries[b:], first held at lefts[b].
+                    # is left is entries[b:], first held at its left end.
                     req[rid] = b
-                    filed[lefts[b]].append(rid)
+                    filed[entries[b][0]].append(rid)
                     continue
-                sid = seen[lo] = seen.setdefault(f, len(rows))
+                sid = seen[lo] = seen.setdefault(f, states)
             req[rid] = sid
-            if sid < len(rows):
+            if sid < states:
                 continue
+            states += 1
             # Mostly the front is the one interval entries[f].
             if b - f == 1:
                 first = top = entries[f]
@@ -159,27 +168,29 @@ def solve_exact(
             _, reach, pivot = top
             if trace:
                 labels.append((f"x{first[2]}", yname(start)))
-            # The blanket is the least right end; it covers exactly the
-            # intervals starting no later than it, so it fails iff a
-            # stranded interval (one ending within the pivot's reach) starts
-            # after it.  Past reach the intervals left of start are gone, so
-            # the x_pivot child's window begins at b.
+            # The blanket, the least right end (so at least start), covers
+            # exactly the intervals starting by it: it fails iff a stranded
+            # interval (one ending within the pivot's reach) starts after it,
+            # from after[blanket] >= b on.  Past reach the intervals left of
+            # start are gone: the x_pivot child's window begins at b.
             blanket = first[1] if first[1] < sufmin[b] else sufmin[b]
-            d = bisect_right(lefts, blanket, b)
-            xchild = len(req)
+            d = after[blanket]
+            xchild = requests
             req.append(b)
             filed[reach + 1].append(xchild)
+            requests += 1
             ychild = -1
             if sufmin[d] > reach:
                 ychild = 0
                 if d < n:
-                    ychild = len(req)
+                    ychild = requests
                     req.append(d)
-                    filed[lefts[d]].append(ychild)
-                # Intervals up to d all ending before lefts[d] (the last one
-                # tested first) are the rest of their run: take lefts[d - 1].
-                if d == n or entries[d - 1][1] < lefts[d] > max(e[1] for e in entries[f:d]):
-                    blanket = lefts[d - 1]
+                    filed[entries[d][0]].append(ychild)
+                    requests += 1
+                # Intervals up to d all ending before entries[d][0] (the last
+                # one tested first) are their run's rest: take entries[d - 1][0].
+                if d == n or entries[d - 1][1] < entries[d][0] > max(e[1] for e in entries[f:d]):
+                    blanket = entries[d - 1][0]
             rows.append((pivot, blanket, xchild, ychild))
 
     # Backward: each state's count, and whether it takes its blanket.
@@ -204,7 +215,7 @@ def solve_exact(
         raise ContractError(f"solve_exact built an invalid witness of size {total}")
 
     blankets = sum(took)
-    stats = SolveStats(len(rows) - 1, len(req) - 1, len(rows) - 1 - blankets, blankets)
+    stats = SolveStats(states - 1, requests - 1, states - 1 - blankets, blankets)
     steps = tuple(
         TraceStep(label, *(("y_blanket", yname(y)) if took[sid] else ("x_pivot", f"x{x}")))
         for sid, (label, (x, y, _, _)) in enumerate(zip(labels, rows[1:]), start=1)

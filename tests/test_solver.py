@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -360,6 +361,44 @@ def short_interval_graph(rng):
     return build_graph(len(spans), n2, edges)
 
 
+def padded_interval_graph(rng):
+    """Up to 12 intervals of up to 4 positions on n2 <= 10, with 0 to 2
+    uncovered Y positions before the first and after the last, so that the
+    intervals may or may not reach position 1 or n2; n <= 22."""
+    n2 = rng.randint(3, 10)
+    before, after = rng.randint(0, 2), rng.randint(0, 2)
+    top = max(before + 1, n2 - after)
+    lefts = [rng.randint(before + 1, top) for _ in range(rng.randint(1, 22 - n2))]
+    spans = [(a, min(top, a + rng.randint(0, 3))) for a in lefts]
+    edges = [(i, j) for i, (lo, hi) in enumerate(spans, start=1) for j in range(lo, hi + 1)]
+    return build_graph(len(spans), n2, edges)
+
+
+def test_uncovered_ends_agree_with_brute_force():
+    # Y positions no interval covers, before the first interval and after
+    # the last, under a random Y labelling: the walks' index past a
+    # position must hold at both ends of the ordering, with a pivot that
+    # reaches n2 or stops short of it.  The graph of the CI smoke run first.
+    g = build_graph(3, 6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)])
+    ordv = compute_lex_convex_ordering(g, (6, 2, 3, 4, 5, 1))
+    r = solve_exact(g, ordv, trace=True)
+    assert (r.gamma_ve, r.witness) == (2, {xref(3), yref(3)})
+    assert [step.subproblem for step in r.trace] == [("x1", "y2"), ("x2", "y4"), ("x3", "y5")]
+    assert solve_baseline(g, ordv).witness == {xref(1), xref(2), xref(3)}
+    rng = random.Random(151)
+    shapes = Counter()
+    for _ in range(400):
+        g, sigma = relabel_y(padded_interval_graph(rng), rng)
+        ordv = compute_lex_convex_ordering(g, sigma)
+        exact, base = solve_exact(g, ordv), solve_baseline(g, ordv)
+        assert exact.gamma_ve == brute_force_gamma_ve(g).gamma_ve
+        assert base.gamma_ve >= exact.gamma_ve
+        assert is_ve_dominating_set(g, exact.witness) and is_ve_dominating_set(g, base.witness)
+        entries = ordv.intervals
+        shapes[entries[0][0] > 1, max(e[1] for e in entries) < g.n2] += 1
+    assert min(shapes.values()) >= 20 and len(shapes) == 4
+
+
 def golden_instances():
     """Fixed seeded instances: 320 random draws (every other one Y-relabelled,
     every fourth drawn connected), 24 relabelled chains, 600 relabelled
@@ -410,6 +449,19 @@ def test_golden_trace_digest():
     assert (
         solve_digest(golden_instances())
         == "0eab20c8957823b5690b8ac69970edf264af2d517e25359972ed5f36abe4cb09"
+    )
+
+
+def test_golden_stats_digest():
+    # sha256 over the SolveStats of every golden solve, one repr per line:
+    # states, requests, x_pivot and y_blanket.  The trace digest pins the
+    # states; this pins the requests too, so a sweep that refiles its
+    # requests differently shows here.
+    h = hashlib.sha256()
+    for g, ordv in golden_instances():
+        h.update(repr(tuple(solve_exact(g, ordv).stats)).encode() + b"\n")
+    assert h.hexdigest() == (
+        "058c6c6560da30432b79f1ec6c7615558952505bde195ac4db83d5afd98574a5"
     )
 
 
@@ -592,52 +644,78 @@ def test_reference_steps_are_solver_steps():
     assert split_seen == 30
 
 
-def test_sparse_trace_length_is_linear(monkeypatch):
+def window_reads(*functions):
+    """(code, line number) of each function's skip loop over a window,
+    ``while f < b and ...``: b is the window's end and f begins at lo."""
+    lines = set()
+    for fn in functions:
+        source, first = inspect.getsourcelines(fn)
+        (offset,) = [k for k, line in enumerate(source) if line.strip().startswith("while f < b")]
+        lines.add((fn.__code__, first + offset))
+    return lines
+
+
+def test_sparse_trace_length_is_linear():
     # Count-based growth checks on the deep sparse families, each also under
     # a random Y labelling.  At most 2 * n2 distinct states.  The windows of
     # entries that requests read hold at most 8 intervals per interval over
     # a solve and 1 over a decomposition, whose rounds read disjoint
-    # windows.  Paths also check gamma_ve(P_k) = (k+2)//4.
+    # windows.  Paths also check gamma_ve(P_k) = (k+2)//4.  A line hook
+    # adds b - lo at each window read of solve_exact and _peels: the first
+    # test of its skip loop, while f is still lo.
+    reads = window_reads(solve_exact, chains._peels)
+    codes = {code for code, _ in reads}
     read = [0]
-    window = chains._window
 
-    def counted_window(entries, lefts, lo, start):
-        f, b = window(entries, lefts, lo, start)
-        read[0] += b - lo
-        return f, b
+    def on_line(frame, event, arg):
+        if event == "line" and (frame.f_code, frame.f_lineno) in reads:
+            names = frame.f_locals
+            if names["f"] == names["lo"]:
+                read[0] += names["b"] - names["lo"]
+        return on_line
 
-    # The solver imports _window by name; _peels reads the module's.
-    monkeypatch.setattr(chains, "_window", counted_window)
-    monkeypatch.setattr(veds.solver, "_window", counted_window)
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code in codes else None
+
+    def traced(fn, *args):
+        read[0], outer = 0, sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            return fn(*args)
+        finally:
+            sys.settrace(outer)
+
     rng, relabel_rng = random.Random(137), random.Random(139)
     cases = [(path_graph(2 * n), 2 * n) for n in (100, 200, 400, 800)]
     cases += [(chain_graph(n1, rng), None) for n1 in (110, 220, 440, 880)]
     for base, k in cases:
         for g, sigma in ((base, tuple(range(1, base.n2 + 1))), relabel_y(base, relabel_rng)):
             ordv = compute_lex_convex_ordering(g, sigma)
-            read[0] = 0
-            r = solve_exact(g, ordv)
+            r = traced(solve_exact, g, ordv)
             assert k is None or r.gamma_ve == (k + 2) // 4
             assert r.stats.states <= 2 * g.n2
-            # Every state is found by reading its window through _window.
+            # Every state is found by reading its window.
             assert r.stats.states <= read[0] <= 8 * len(ordv.intervals)
-            read[0] = 0
-            decompose(g, ordv)
-            assert read[0] <= len(ordv.intervals)
+            traced(decompose, g, ordv)
+            assert 0 < read[0] <= len(ordv.intervals)
 
-    # The window from the first interval past floor gives the front by its
-    # definition, for every floor < start over the whole sorted interval
-    # list, gaps between pieces included: entries[f] is its first interval.
+    # The window from the first interval past floor, scanned to the first
+    # interval past start, gives the front by its definition, for every
+    # floor < start over the whole sorted interval list, gaps between
+    # pieces included: entries[f] is its first interval.
     rng = random.Random(149)
     for _ in range(300):
         g = short_interval_graph(rng)
         entries = ordered(g).intervals
         lefts = [e[0] for e in entries]
         for start in range(1, g.n2 + 1):
+            b = bisect_right(lefts, start)
             for floor in range(start):
                 lo = bisect_right(lefts, floor)
-                f, b = window(entries, lefts, lo, start)
-                assert b == bisect_right(lefts, start)
+                assert bisect_right(lefts, start, lo) == b
+                f = lo
+                while f < b and entries[f][1] < start:
+                    f += 1
                 assert all(e[1] < start for e in entries[lo:f])
                 assert [e for e in entries[f:b] if e[1] >= start] == [
                     e for e in entries if floor < e[0] <= start <= e[1]
